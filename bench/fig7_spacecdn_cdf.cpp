@@ -56,7 +56,7 @@ CityShard sample_city(const lsn::StarlinkNetwork& network,
   const auto isl_latency = network.isl().latencies_from(*serving);
   for (std::size_t b = 0; b < kHopBudgets.size(); ++b) {
     double best = net::kUnreachable;
-    for (const auto& hd : ring) {
+    for (const auto& hd : *ring) {
       if (hd.hops == kHopBudgets[b]) {
         best = std::min(best, isl_latency[hd.node].value());
       }

@@ -7,8 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
+#include <vector>
 
 #include "data/types.hpp"
 #include "lsn/ground_segment.hpp"
@@ -75,25 +78,57 @@ class BentPipeRouter {
   [[nodiscard]] const IslNetwork& isl() const noexcept { return *isl_; }
 
  private:
-  /// Per-gateway landing-candidate lists, valid for exactly one ephemeris
-  /// snapshot.  Computed at construction and refreshed whenever the ISL
-  /// network has been advanced to a different snapshot -- the lists used to
-  /// be frozen at construction, so a router kept across an ephemeris advance
-  /// silently landed traffic on satellites that were no longer overhead.
-  [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& landing_candidates() const;
+  /// The client-independent part of a route from `serving` to `pop`: landing
+  /// satellite, gateway, ISL, downlink and haul legs, and ISL hop count.
+  struct Leg {
+    std::uint32_t landing_satellite = 0;
+    std::uint32_t isl_hops = 0;
+    std::size_t gateway = 0;
+    Milliseconds isl{0.0};
+    Milliseconds downlink{0.0};
+    Milliseconds gateway_haul{0.0};
+  };
+
+  /// What a route depends on besides the client: the ephemeris snapshot
+  /// (landing visibility, slant ranges), the ISL topology (SSSP distances)
+  /// and the gateway failure flags.
+  struct ValidityKey {
+    std::uint64_t snapshot_epoch = 0;
+    std::uint64_t topology_epoch = 0;
+    std::uint64_t failure_version = 0;
+    bool operator==(const ValidityKey&) const = default;
+  };
+
+  using LandingLists = std::vector<std::vector<std::uint32_t>>;  ///< per gateway
+
+  [[nodiscard]] ValidityKey current_key() const noexcept;
+
+  /// The memoised leg from `serving` to `pop` (nullopt: no gateway is
+  /// reachable).  Thread-safe: a miss computes outside the lock, because it
+  /// may run a Dijkstra, and inserts first-writer-wins, which is safe
+  /// because legs are deterministic.
+  [[nodiscard]] std::optional<Leg> leg(std::uint32_t serving, std::size_t pop) const;
+
+  /// Scans every live gateway and its visible landing satellites for the
+  /// minimum ISL + downlink + haul total.
+  [[nodiscard]] std::optional<Leg> compute_leg(std::uint32_t serving, std::size_t pop,
+                                               const LandingLists& landing) const;
 
   const GroundSegment* ground_;
   const IslNetwork* isl_;
   double user_min_elevation_deg_;
   double gateway_min_elevation_deg_;
-  /// Epoch of the snapshot the cached lists were computed from.  Epochs are
-  /// process-globally monotonic (EphemerisSnapshot::epoch), so this cannot
-  /// suffer the ABA hazard of the earlier {address, time} key: a rebuilt
-  /// snapshot reallocated at the old address with an equal time value would
-  /// have matched and served stale lists.
+  /// Landing lists and legs, valid for exactly one ValidityKey and refreshed
+  /// lazily on the first query after an ephemeris advance, a satellite
+  /// fail/recover or a gateway flip.  Snapshot epochs are process-globally
+  /// monotonic, so the key cannot suffer the ABA hazard of a {snapshot
+  /// address, time} key.  The lists are shared so a miss
+  /// computing outside the lock keeps them alive across a refresh.
   mutable std::mutex gateway_mutex_;
-  mutable std::uint64_t gateway_epoch_ = 0;
-  mutable std::vector<std::vector<std::uint32_t>> gateway_satellites_;
+  mutable ValidityKey memo_key_;
+  mutable std::shared_ptr<const LandingLists> landing_;
+  /// serving * pop_count + pop -> leg.
+  mutable std::unordered_map<std::uint64_t, std::optional<Leg>> legs_;
 };
 
 }  // namespace spacecdn::lsn

@@ -25,7 +25,9 @@ GroundSegment::GroundSegment(std::vector<data::GroundStationInfo> gateways,
 
 void GroundSegment::set_gateway_failed(std::size_t gateway_index, bool failed) {
   SPACECDN_EXPECT(gateway_index < gateway_failed_.size(), "gateway index out of range");
+  if (gateway_failed_[gateway_index] == failed) return;
   gateway_failed_[gateway_index] = failed;
+  ++failure_version_;
 }
 
 bool GroundSegment::gateway_failed(std::size_t gateway_index) const {
@@ -78,16 +80,6 @@ Milliseconds GroundSegment::gateway_to_pop(std::size_t gateway_index,
                                            std::size_t pop_index) const {
   return backbone_.one_way_latency(data::location(gateway(gateway_index)),
                                    data::location(pop(pop_index)));
-}
-
-std::vector<std::optional<std::uint32_t>> GroundSegment::gateway_satellites(
-    const orbit::EphemerisSnapshot& snapshot, double min_elevation_deg) const {
-  std::vector<std::optional<std::uint32_t>> out;
-  out.reserve(gateways_.size());
-  for (const auto& gw : gateways_) {
-    out.push_back(snapshot.serving_satellite(data::location(gw), min_elevation_deg));
-  }
-  return out;
 }
 
 std::vector<std::vector<std::uint32_t>> GroundSegment::gateway_visible_satellites(

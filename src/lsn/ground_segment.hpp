@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -38,6 +37,11 @@ class GroundSegment {
   void set_gateway_failed(std::size_t gateway_index, bool failed);
   [[nodiscard]] bool gateway_failed(std::size_t gateway_index) const;
   [[nodiscard]] std::size_t failed_gateway_count() const noexcept;
+  /// Bumped whenever a gateway's failure flag flips; routers key memoised
+  /// routes on it.
+  [[nodiscard]] std::uint64_t failure_version() const noexcept {
+    return failure_version_;
+  }
 
   [[nodiscard]] const data::GroundStationInfo& gateway(std::size_t i) const;
   [[nodiscard]] const data::PopInfo& pop(std::size_t i) const;
@@ -58,11 +62,6 @@ class GroundSegment {
   [[nodiscard]] Milliseconds gateway_to_pop(std::size_t gateway_index,
                                             std::size_t pop_index) const;
 
-  /// Best satellite above each gateway at `min_elevation_deg` (nullopt where
-  /// none); recomputed per ephemeris snapshot.
-  [[nodiscard]] std::vector<std::optional<std::uint32_t>> gateway_satellites(
-      const orbit::EphemerisSnapshot& snapshot, double min_elevation_deg) const;
-
   /// All satellites visible from each gateway at `min_elevation_deg`.
   /// Gateways carry several tracking antennas and can land traffic on any
   /// visible satellite -- crucial for ISL routing, since the hop-nearest
@@ -76,6 +75,7 @@ class GroundSegment {
   std::vector<data::PopInfo> pops_;
   terrestrial::Backbone backbone_;
   std::vector<bool> gateway_failed_;
+  std::uint64_t failure_version_ = 0;
 };
 
 }  // namespace spacecdn::lsn

@@ -65,8 +65,13 @@ void IslNetwork::advance(const orbit::EphemerisSnapshot& snapshot) {
                   "snapshot must match the constellation");
   snapshot_ = &snapshot;
   rebuild_edges();
+  topology_changed();
+}
+
+void IslNetwork::topology_changed() {
   ++topology_epoch_;
   route_cache_.invalidate();
+  rings_.clear();
 }
 
 bool IslNetwork::is_failed(std::uint32_t sat) const {
@@ -81,8 +86,7 @@ void IslNetwork::fail(std::uint32_t sat) {
   ++failed_count_;
   // Links towards already-failed partners are absent; removing them is a no-op.
   for (const std::uint32_t peer : partners_[sat]) graph_.remove_undirected_edge(sat, peer);
-  ++topology_epoch_;
-  route_cache_.invalidate();
+  topology_changed();
   if (auto* m = obs::metrics()) {
     m->counter("spacecdn_isl_fail_total").inc();
     m->gauge("spacecdn_isl_failed_satellites").set(static_cast<double>(failed_count_));
@@ -103,8 +107,7 @@ void IslNetwork::recover(std::uint32_t sat) {
         geo::propagation_delay(d, geo::Medium::kVacuum) + config_.per_hop_overhead;
     graph_.add_undirected_edge(sat, neighbor, latency);
   }
-  ++topology_epoch_;
-  route_cache_.invalidate();
+  topology_changed();
   if (auto* m = obs::metrics()) {
     m->counter("spacecdn_isl_recover_total").inc();
     m->gauge("spacecdn_isl_failed_satellites").set(static_cast<double>(failed_count_));
@@ -135,10 +138,21 @@ std::shared_ptr<const net::SsspTree> IslNetwork::sssp_from(std::uint32_t sat) co
   return route_cache_.tree(sat);
 }
 
-std::vector<net::HopDistance> IslNetwork::within_hops(std::uint32_t sat,
-                                                      std::uint32_t max_hops) const {
+std::shared_ptr<const std::vector<net::HopDistance>> IslNetwork::within_hops(
+    std::uint32_t sat, std::uint32_t max_hops) const {
   SPACECDN_PROFILE("IslNetwork::within_hops");
-  return net::nodes_within_hops(graph_, sat, max_hops);
+  const std::uint64_t key = (std::uint64_t{sat} << 32) | max_hops;
+  {
+    const std::shared_lock lock(rings_mutex_);
+    if (const auto it = rings_.find(key); it != rings_.end()) return it->second;
+  }
+  // BFS outside the lock; concurrent misses on one key compute the same
+  // ring and the first insert wins.
+  auto ring = std::make_shared<const std::vector<net::HopDistance>>(
+      net::nodes_within_hops(graph_, sat, max_hops));
+  const std::unique_lock lock(rings_mutex_);
+  if (rings_.size() >= graph_.node_count()) rings_.clear();
+  return rings_.try_emplace(key, std::move(ring)).first->second;
 }
 
 }  // namespace spacecdn::lsn

@@ -9,7 +9,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <shared_mutex>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -65,9 +67,11 @@ class IslNetwork {
   /// failure- and time-independent.
   void advance(const orbit::EphemerisSnapshot& snapshot);
 
-  /// Monotonic counter bumped by every topology change (fail, recover,
-  /// advance).  Layers that precompute per-snapshot state (BentPipeRouter's
-  /// gateway visibility lists, the routing cache) key their validity on it.
+  /// Counter bumped by every topology change (fail, recover, advance),
+  /// starting at 0 for each network.  The SSSP and hop-ring caches are
+  /// invalidated on every bump, and BentPipeRouter keys its memoised legs on
+  /// it (together with the snapshot epoch, which alone drives its gateway
+  /// landing lists).
   [[nodiscard]] std::uint64_t topology_epoch() const noexcept { return topology_epoch_; }
 
   [[nodiscard]] const net::Graph& graph() const noexcept { return graph_; }
@@ -98,19 +102,30 @@ class IslNetwork {
     return route_cache_.stats();
   }
 
-  /// Satellites within `max_hops` ISL hops of `sat` (BFS, includes `sat`).
-  [[nodiscard]] std::vector<net::HopDistance> within_hops(std::uint32_t sat,
-                                                          std::uint32_t max_hops) const;
+  /// Satellites within `max_hops` ISL hops of `sat` (BFS order, includes
+  /// `sat`), exactly net::nodes_within_hops on graph().  Memoised per
+  /// (sat, max_hops) until the next topology change, bounded by the
+  /// satellite count; thread-safe like sssp_from.
+  [[nodiscard]] std::shared_ptr<const std::vector<net::HopDistance>> within_hops(
+      std::uint32_t sat, std::uint32_t max_hops) const;
 
  private:
   /// Repopulates graph_ edges from the bound snapshot's geometry for every
   /// pair of currently-healthy partners.
   void rebuild_edges();
 
+  /// Bumps topology_epoch_ and drops every cached route and hop ring.
+  void topology_changed();
+
   const orbit::EphemerisSnapshot* snapshot_;
   IslConfig config_;
   net::Graph graph_;
   net::RoutingCache route_cache_;
+  /// (sat << 32 | max_hops) -> BFS ring of the current topology.
+  mutable std::shared_mutex rings_mutex_;
+  mutable std::unordered_map<std::uint64_t,
+                             std::shared_ptr<const std::vector<net::HopDistance>>>
+      rings_;
   std::vector<bool> failed_;
   std::uint32_t failed_count_ = 0;
   std::uint64_t topology_epoch_ = 0;

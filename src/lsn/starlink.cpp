@@ -32,8 +32,8 @@ void StarlinkNetwork::set_time(Milliseconds t) {
   // Re-propagation keeps every allocation alive: the snapshot advances in
   // place (position buffers and visibility index reused, epoch bumped), the
   // ISL fabric rebuilds edge weights in place (failure state carries over)
-  // and invalidates cached SSSP trees, and the router refreshes its gateway
-  // visibility lists lazily when it sees the new snapshot epoch.
+  // and invalidates cached SSSP trees and hop rings, and the router refreshes
+  // its landing lists and memoised legs lazily when it sees the new epochs.
   snapshot_->advance(t);
   isl_->advance(*snapshot_);
 }

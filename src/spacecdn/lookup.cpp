@@ -14,7 +14,8 @@ std::optional<LookupResult> bfs_find(const lsn::IslNetwork& isl, std::uint32_t o
   // one Dijkstra -- it used to run one per candidate.
   std::optional<LookupResult> best;
   std::shared_ptr<const net::SsspTree> tree;  // fetched on the first candidate
-  for (const net::HopDistance& hd : isl.within_hops(origin, max_hops)) {
+  const auto ring = isl.within_hops(origin, max_hops);
+  for (const net::HopDistance& hd : *ring) {
     if (best && hd.hops > best->hops) break;  // left the minimal hop ring
     if (!holds(hd.node)) continue;
     if (hd.node == origin) return LookupResult{origin, 0, Milliseconds{0.0}};

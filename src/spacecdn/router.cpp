@@ -68,7 +68,24 @@ std::string_view to_string(FetchTier tier) noexcept {
 
 SpaceCdnRouter::SpaceCdnRouter(const lsn::StarlinkNetwork& network, SatelliteFleet& fleet,
                                cdn::CdnDeployment& ground_cdn, RouterConfig config)
-    : network_(&network), fleet_(&fleet), ground_cdn_(&ground_cdn), config_(config) {}
+    : network_(&network),
+      fleet_(&fleet),
+      ground_cdn_(&ground_cdn),
+      config_(config),
+      ground_sites_(network.ground().pop_count()) {}
+
+const SpaceCdnRouter::GroundSite& SpaceCdnRouter::ground_site(std::size_t pop) {
+  std::optional<GroundSite>& entry = ground_sites_[pop];
+  if (!entry) {
+    const geo::GeoPoint pop_location = data::location(network_->ground().pop(pop));
+    const std::size_t site = ground_cdn_->nearest_site(pop_location);
+    const terrestrial::Backbone& backbone = network_->ground().backbone();
+    entry = GroundSite{
+        site, backbone.one_way_latency(pop_location, ground_cdn_->site_location(site)),
+        backbone.rtt(ground_cdn_->site_location(site), ground_cdn_->origin_location())};
+  }
+  return *entry;
+}
 
 std::optional<FetchResult> SpaceCdnRouter::fetch(const geo::GeoPoint& client,
                                                  const data::CountryInfo& country,
@@ -216,18 +233,15 @@ std::optional<FetchResult> SpaceCdnRouter::attempt_from(std::uint32_t serving,
     }
     return std::nullopt;
   }
-  const geo::GeoPoint pop_location =
-      data::location(network_->ground().pop(breakdown->pop));
-  const std::size_t site = ground_cdn_->nearest_site(pop_location);
-  breakdown->pop_to_destination = network_->ground().backbone().one_way_latency(
-      pop_location, ground_cdn_->site_location(site));
+  const GroundSite& ground = ground_site(breakdown->pop);
+  const std::size_t site = ground.site;
+  breakdown->pop_to_destination = ground.pop_to_site;
 
   // The ground fallback rides the ordinary bent pipe, so it pays the full
   // measured Starlink access-layer overhead.
   const Milliseconds access_overhead = network_->access().sample_idle_overhead(rng);
   const Milliseconds client_site_rtt = breakdown->propagation_rtt() + access_overhead;
-  const Milliseconds site_origin_rtt = network_->ground().backbone().rtt(
-      ground_cdn_->site_location(site), ground_cdn_->origin_location());
+  const Milliseconds site_origin_rtt = ground.site_origin_rtt;
   const cdn::ServeResult served =
       ground_cdn_->serve(site, item, client_site_rtt, site_origin_rtt, now);
 
@@ -386,15 +400,37 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
                                                      const cdn::ContentItem& item,
                                                      des::Rng& rng, Milliseconds now) {
   SPACECDN_PROFILE("SpaceCdnRouter::fetch_resilient");
+  static obs::CounterHandle fetch_total{"spacecdn_resilient_fetch_total"};
+  static obs::CounterHandle success_total{"spacecdn_resilient_success_total"};
+  static obs::CounterHandle failure_total{"spacecdn_resilient_failure_total"};
+  static obs::CounterHandle attempts_total{"spacecdn_resilient_attempts_total"};
+  static obs::CounterHandle retries_total{"spacecdn_resilient_retries_total"};
+  static obs::CounterHandle deadline_total{"spacecdn_resilient_deadline_exceeded_total"};
+  static obs::CounterHandle hedge_issued{"spacecdn_hedge_issued_total"};
+  static obs::CounterHandle hedge_won{"spacecdn_hedge_won_total"};
+  static obs::HistogramHandle latency_ms{
+      "spacecdn_resilient_latency_ms", {}, {0.0, 10'000.0, 200}};
+  static obs::HistogramHandle backoff_ms{"spacecdn_backoff_ms", {}, {0.0, 5'000.0, 100}};
+  constexpr std::array<const char*, 4> kOutcomes{"no-coverage", "no-path", "lost",
+                                                 "timeout"};
+  static std::array<obs::CounterHandle, 4> attempt_failed{
+      obs::CounterHandle{"spacecdn_resilient_attempt_failed_total",
+                         {{"outcome", kOutcomes[0]}}},
+      obs::CounterHandle{"spacecdn_resilient_attempt_failed_total",
+                         {{"outcome", kOutcomes[1]}}},
+      obs::CounterHandle{"spacecdn_resilient_attempt_failed_total",
+                         {{"outcome", kOutcomes[2]}}},
+      obs::CounterHandle{"spacecdn_resilient_attempt_failed_total",
+                         {{"outcome", kOutcomes[3]}}}};
+
   const ResilienceConfig& rc = config_.resilience;
-  obs::MetricsRegistry* m = obs::metrics();
   obs::Tracer* tracer = obs::tracer();
   std::optional<obs::TraceBuilder> trace;
   if (tracer != nullptr) {
     trace.emplace("fetch_resilient", now);
     trace->attr(trace->root(), "item", std::to_string(item.id));
   }
-  if (m != nullptr) m->counter("spacecdn_resilient_fetch_total").inc();
+  fetch_total.inc();
 
   ResilientFetchResult out;
   double waited = 0.0;
@@ -451,7 +487,7 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
       // ~the slowest percentile of requests pay the extra fetch).
       if (rc.hedge_delay.value() > 0.0 && served->rtt > rc.hedge_delay) {
         out.hedged = true;
-        if (m != nullptr) m->counter("spacecdn_hedge_issued_total").inc();
+        hedge_issued.inc();
         const auto second = healthy_serving_satellite(client, serving);
         std::optional<FetchResult> hedge;
         if (second) {
@@ -466,7 +502,7 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
             hedge->rtt = hedge_rtt;  // client-observed: issued hedge_delay in
             served = hedge;
             out.hedge_won = true;
-            if (m != nullptr) m->counter("spacecdn_hedge_won_total").inc();
+            hedge_won.inc();
           }
         }
         if (trace) {
@@ -477,13 +513,10 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
       out.served = served;
       out.total_latency = Milliseconds{waited} + served->rtt;
       out.retries = out.attempts - 1;
-      if (m != nullptr) {
-        m->counter("spacecdn_resilient_success_total").inc();
-        m->counter("spacecdn_resilient_attempts_total").inc(out.attempts);
-        m->counter("spacecdn_resilient_retries_total").inc(out.retries);
-        m->histogram("spacecdn_resilient_latency_ms", {}, {0.0, 10'000.0, 200})
-            .observe(out.total_latency.value());
-      }
+      success_total.inc();
+      attempts_total.inc(out.attempts);
+      retries_total.inc(out.retries);
+      latency_ms.observe(out.total_latency.value());
       if (trace) {
         trace->attr(attempt_span, "outcome", "served");
         trace->set_duration(attempt_span, served->rtt);
@@ -494,19 +527,15 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
     }
     // Timed out, lost, or no path: the client burns the attempt budget, then
     // backs off exponentially before trying again.
-    const char* outcome = !serving ? "no-coverage" : (!served ? "no-path"
-                                     : (lost ? "lost" : "timeout"));
+    const std::size_t outcome = !serving ? 0 : (!served ? 1 : (lost ? 2 : 3));
     if (served && served->gateway) {
       if (CircuitBreaker* breaker = breaker_for(*served->gateway)) {
         breaker->record_failure(now);
       }
     }
-    if (m != nullptr) {
-      m->counter("spacecdn_resilient_attempt_failed_total", {{"outcome", outcome}})
-          .inc();
-    }
+    attempt_failed[outcome].inc();
     if (trace) {
-      trace->attr(attempt_span, "outcome", outcome);
+      trace->attr(attempt_span, "outcome", kOutcomes[outcome]);
       trace->set_duration(attempt_span, Milliseconds{budget});
     }
     waited += budget;
@@ -515,9 +544,7 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
       if (rc.backoff_jitter > 0.0) {
         backoff *= 1.0 + rc.backoff_jitter * rng.uniform(-1.0, 1.0);
       }
-      if (m != nullptr) {
-        m->histogram("spacecdn_backoff_ms", {}, {0.0, 5'000.0, 100}).observe(backoff);
-      }
+      backoff_ms.observe(backoff);
       if (trace) {
         const std::uint32_t span = trace->open("backoff");
         trace->set_start(span, Milliseconds{waited});
@@ -530,14 +557,10 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
   }
   out.retries = out.attempts == 0 ? 0 : out.attempts - 1;
   out.total_latency = Milliseconds{waited};
-  if (m != nullptr) {
-    m->counter("spacecdn_resilient_failure_total").inc();
-    m->counter("spacecdn_resilient_attempts_total").inc(out.attempts);
-    m->counter("spacecdn_resilient_retries_total").inc(out.retries);
-    if (out.deadline_exceeded) {
-      m->counter("spacecdn_resilient_deadline_exceeded_total").inc();
-    }
-  }
+  failure_total.inc();
+  attempts_total.inc(out.attempts);
+  retries_total.inc(out.retries);
+  if (out.deadline_exceeded) deadline_total.inc();
   if (trace) {
     trace->set_duration(trace->root(), out.total_latency);
     tracer->record(trace->finish(/*failed=*/true));

@@ -241,6 +241,17 @@ class SpaceCdnRouter {
                                                         obs::TraceBuilder* trace,
                                                         std::uint32_t parent_span);
 
+  /// Tier (iii)'s ground-CDN edge for one PoP and the two legs through it.
+  struct GroundSite {
+    std::size_t site = 0;
+    Milliseconds pop_to_site{0.0};      ///< one-way, PoP -> edge site
+    Milliseconds site_origin_rtt{0.0};  ///< edge site <-> origin
+  };
+
+  /// The ground site nearest PoP `pop`, computed on first use: sites, the
+  /// origin and the backbone are fixed for the router's lifetime.
+  [[nodiscard]] const GroundSite& ground_site(std::size_t pop);
+
   const lsn::StarlinkNetwork* network_;
   SatelliteFleet* fleet_;
   cdn::CdnDeployment* ground_cdn_;
@@ -252,6 +263,7 @@ class SpaceCdnRouter {
   /// while breakers are disabled so the default path costs nothing.
   mutable std::vector<CircuitBreaker> gateway_breakers_;
   BreakerListener breaker_listener_;
+  std::vector<std::optional<GroundSite>> ground_sites_;  ///< per PoP index
 };
 
 }  // namespace spacecdn::space

@@ -268,7 +268,7 @@ TEST(Lookup, PicksLowestLatencyReplicaWithinMinimalHopRing) {
   const auto tree = net.isl().sssp_from(origin);
   double best_latency = net::kUnreachable;
   std::uint32_t holders = 0;
-  for (const auto& hd : ring) {
+  for (const auto& hd : *ring) {
     if (hd.hops != 2) continue;
     (void)fleet.cache(hd.node).insert(
         cdn::ContentItem{9, Megabytes{1.0}, data::Region::kEurope}, kNow);

@@ -375,7 +375,7 @@ std::vector<double> sample_parity(const lsn::StarlinkNetwork& network,
   const auto isl_latency = network.isl().latencies_from(*serving);
   for (const std::uint32_t budget : kParityBudgets) {
     double best = net::kUnreachable;
-    for (const auto& hd : ring) {
+    for (const auto& hd : *ring) {
       if (hd.hops == budget) best = std::min(best, isl_latency[hd.node].value());
     }
     if (best == net::kUnreachable) continue;
