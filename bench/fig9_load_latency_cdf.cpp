@@ -17,7 +17,6 @@
 
 #include "bench_util.hpp"
 #include "load/load_runner.hpp"
-#include "load/sharded.hpp"
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
@@ -54,32 +53,16 @@ int main(int argc, char** argv) {
   // One point per offered-load multiplier, each an independent serial
   // simulation over its own fleet + ground CDN (common random numbers: the
   // per-city arrival streams share the run seed, so points differ only in
-  // rate).  Shards may finish out of order; the merge below walks them in
-  // point order.  --des-shards > 1 instead runs each point on the sharded
-  // DES (clients partitioned by serving satellite); at a fixed shard count
-  // the checksum stays bit-identical for any --threads value.
-  const auto shards_requested = runner.get("des-shards", 1L);
-  const auto des_shards =
-      static_cast<std::size_t>(shards_requested < 1 ? 1 : shards_requested);
+  // rate).  Points may finish out of order; the merge below walks them in
+  // point order.
   std::vector<load::LoadReport> reports(kLoadMultipliers.size());
   runner.pool().parallel_for(kLoadMultipliers.size(), [&](std::size_t p) {
     load::LoadConfig config = base;
     config.traffic.requests_per_second *= kLoadMultipliers[p];
-    if (des_shards > 1) {
-      load::ShardedLoadOptions shard_options;
-      shard_options.shards = des_shards;
-      reports[p] = load::run_sharded_load(
-                       network, clients, config, shard_options,
-                       [&] { return runner.world().make_fleet(); },
-                       [&] { return runner.world().make_ground_cdn(); },
-                       &runner.pool())
-                       .report;
-    } else {
-      space::SatelliteFleet fleet = runner.world().make_fleet();
-      cdn::CdnDeployment ground = runner.world().make_ground_cdn();
-      load::LoadRunner engine(network, fleet, ground, clients, config);
-      reports[p] = engine.run();
-    }
+    space::SatelliteFleet fleet = runner.world().make_fleet();
+    cdn::CdnDeployment ground = runner.world().make_ground_cdn();
+    load::LoadRunner engine(network, fleet, ground, clients, config);
+    reports[p] = engine.run();
   });
 
   for (const load::LoadReport& report : reports) {

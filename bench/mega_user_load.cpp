@@ -24,7 +24,6 @@
 
 #include "bench_util.hpp"
 #include "load/load_runner.hpp"
-#include "load/sharded.hpp"
 #include "sim/runner.hpp"
 #include "sim/users.hpp"
 #include "util/table.hpp"
@@ -54,9 +53,6 @@ int main(int argc, char** argv) {
 
   const auto users_requested = runner.get("users", 1'000'000L);
   const auto n_users = static_cast<std::size_t>(users_requested < 0 ? 0 : users_requested);
-  const auto shards_requested = runner.get("des-shards", 1L);
-  const auto des_shards =
-      static_cast<std::size_t>(shards_requested < 1 ? 1 : shards_requested);
 
   // Touch every lazily-built substrate piece once before sharding.
   lsn::StarlinkNetwork& network = runner.world().network();
@@ -123,28 +119,11 @@ int main(int argc, char** argv) {
   std::cout << "covered terminals: " << covered << " / " << users.size() << "\n\n";
 
   // --- Phase 2: open-loop load over the synthetic fleet ---
-  // --des-shards=1 (the default) is the serial engine; >1 partitions the
-  // terminals by serving satellite onto the sharded DES, which advances the
-  // shard groups in parallel lookahead windows.  At a fixed shard count the
-  // checksum is bit-identical for any --threads value.
   t0 = std::chrono::steady_clock::now();
-  load::LoadReport report;
-  std::uint64_t windows = 0;
-  if (des_shards > 1) {
-    load::ShardedLoadOptions shard_options;
-    shard_options.shards = des_shards;
-    const load::ShardedLoadOutcome outcome = load::run_sharded_load(
-        network, users, config, shard_options,
-        [&] { return runner.world().make_fleet(); },
-        [&] { return runner.world().make_ground_cdn(); }, &runner.pool());
-    report = outcome.report;
-    windows = outcome.windows;
-  } else {
-    space::SatelliteFleet fleet = runner.world().make_fleet();
-    cdn::CdnDeployment ground = runner.world().make_ground_cdn();
-    load::LoadRunner engine(network, fleet, ground, users, config);
-    report = engine.run();
-  }
+  space::SatelliteFleet fleet = runner.world().make_fleet();
+  cdn::CdnDeployment ground = runner.world().make_ground_cdn();
+  load::LoadRunner engine(network, fleet, ground, users, config);
+  const load::LoadReport report = engine.run();
   const double load_s = seconds_since(t0);
 
   for (const double v : report.latency_ms.raw()) runner.checksum().add(v);
@@ -153,12 +132,7 @@ int main(int argc, char** argv) {
             << ConsoleTable::format_fixed(config.traffic.requests_per_second, 0)
             << " rps x " << ConsoleTable::format_fixed(runner.spec().load_horizon_s, 0)
             << " s horizon over " << users.size() << " per-user streams in "
-            << ConsoleTable::format_fixed(load_s, 2) << " s";
-  if (des_shards > 1) {
-    std::cout << " (sharded DES: " << des_shards << " shards, " << windows
-              << " lookahead windows)";
-  }
-  std::cout << "\n";
+            << ConsoleTable::format_fixed(load_s, 2) << " s\n";
   std::cout << "run threads: " << runner.pool().thread_count()
             << ", determinism checksum: " << runner.checksum().hex()
             << " (identical for any --threads)\n\n";
@@ -203,7 +177,6 @@ int main(int argc, char** argv) {
   runner.record("assign_mqps",
                 assign_s > 0.0 ? static_cast<double>(users.size()) / assign_s / 1e6 : 0.0);
   runner.record("load_seconds", load_s);
-  runner.record("des_shards", static_cast<double>(des_shards));
   runner.record("completed", static_cast<double>(report.completed));
   if (!report.latency_ms.empty()) {
     runner.record("p50_ms", report.latency_ms.quantile(0.5));

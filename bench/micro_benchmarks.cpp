@@ -6,7 +6,6 @@
 #include "cdn/cache.hpp"
 #include "data/datasets.hpp"
 #include "des/random.hpp"
-#include "des/sharded.hpp"
 #include "des/simulator.hpp"
 #include "geo/batch.hpp"
 #include "geo/distance.hpp"
@@ -310,29 +309,6 @@ void BM_LoadLinkQueue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_LoadLinkQueue);
-
-void BM_ShardedSimulatorWindow(benchmark::State& state) {
-  // One lookahead window over S shards with light cross-shard traffic:
-  // guards the per-window overhead of the conservative barrier (window
-  // selection, run_until per shard, mailbox drain) on the serial path.
-  const std::size_t shards = static_cast<std::size_t>(state.range(0));
-  std::uint64_t fired = 0;
-  for (auto _ : state) {
-    des::ShardedSimulator sharded(shards, Milliseconds{10.0});
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (int i = 0; i < 32; ++i) {
-        sharded.shard(s).schedule(Milliseconds{static_cast<double>(i % 9)},
-                                  [&fired] { ++fired; });
-      }
-      sharded.post(s, (s + 1) % shards, Milliseconds{15.0}, [&fired] { ++fired; });
-    }
-    sharded.run();
-  }
-  benchmark::DoNotOptimize(fired);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(shards * 33));
-}
-BENCHMARK(BM_ShardedSimulatorWindow)->Arg(1)->Arg(4);
 
 void BM_SlantRangeBatch(benchmark::State& state) {
   // Batched SoA slant-range kernel over one full constellation snapshot --

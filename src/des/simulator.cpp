@@ -80,15 +80,6 @@ bool Simulator::step() {
   return false;
 }
 
-std::optional<Milliseconds> Simulator::next_event_time() {
-  while (!queue_.empty()) {
-    const Entry& top = queue_.top();
-    if (live_slot(top.id) != nullptr) return top.when;
-    queue_.pop();  // cancelled shell; discard so the answer is a live event
-  }
-  return std::nullopt;
-}
-
 void Simulator::dispatch(const Entry& entry) {
   if (live_slot(entry.id) == nullptr) return;  // cancelled after being popped
   // Move the action out (recycling the slot) before invoking, so the action

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <queue>
 #include <vector>
 
@@ -56,11 +55,6 @@ class Simulator {
 
   /// Runs exactly one event if any is pending; returns whether one ran.
   bool step();
-
-  /// Timestamp of the earliest live pending event, or nullopt when drained.
-  /// Prunes cancelled queue entries encountered on the way (hence
-  /// non-const); the sharded engine uses this to pick the next time window.
-  [[nodiscard]] std::optional<Milliseconds> next_event_time();
 
  private:
   struct Entry {

@@ -37,45 +37,24 @@ LoadRunner::LoadRunner(lsn::StarlinkNetwork& network, space::SatelliteFleet& fle
       fleet_(&fleet),
       config_(std::move(config)),
       traffic_(std::move(clients), config_.traffic),
-      owned_sim_(std::make_unique<des::Simulator>()),
-      sim_(owned_sim_.get()),
       router_(network, fleet, ground_cdn, router_config(config_)),
       admission_(fleet.size(), config_.capacity.max_transfers_per_satellite,
                  config_.capacity.reject_storm_threshold),
       downlink_queues_(fleet.size()) {
-  init(network, fleet);
-}
-
-LoadRunner::LoadRunner(des::Simulator& engine, lsn::StarlinkNetwork& network,
-                       space::SatelliteFleet& fleet, cdn::CdnDeployment& ground_cdn,
-                       std::vector<sim::Shell1Client> clients, LoadConfig config)
-    : network_(&network),
-      fleet_(&fleet),
-      config_(std::move(config)),
-      traffic_(std::move(clients), config_.traffic),
-      sim_(&engine),
-      router_(network, fleet, ground_cdn, router_config(config_)),
-      admission_(fleet.size(), config_.capacity.max_transfers_per_satellite,
-                 config_.capacity.reject_storm_threshold),
-      downlink_queues_(fleet.size()) {
-  init(network, fleet);
-}
-
-void LoadRunner::init(lsn::StarlinkNetwork& network, space::SatelliteFleet& fleet) {
   if (!config_.fault_schedule.empty()) churn_.emplace(network, fleet);
   if (config_.degradation.enabled) {
     degradation_.emplace(fleet.size(), config_.degradation);
     // New arrivals steer away from satellites inside a hot window.
     router_.set_serving_filter(
-        [this](std::uint32_t sat) { return !degradation_->hot(sat, sim_->now()); });
+        [this](std::uint32_t sat) { return !degradation_->hot(sat, sim_.now()); });
   }
   admission_.set_reject_hook([this](std::uint32_t sat, std::size_t active) {
     if (degradation_) {
       const std::uint64_t marks_before = degradation_->hot_marks();
-      degradation_->on_reject(sat, sim_->now());
+      degradation_->on_reject(sat, sim_.now());
       // Only window *entries* land on the timeline; re-marks extend silently.
       if (timeline_enabled_ && degradation_->hot_marks() != marks_before) {
-        timeline_.record(sim_->now(), "degradation.hot-mark",
+        timeline_.record(sim_.now(), "degradation.hot-mark",
                          "satellite:" + std::to_string(sat));
       }
     }
@@ -172,11 +151,11 @@ void LoadRunner::setup_observability() {
   });
   series_->add_gauge("hot_satellites", [this] {
     return degradation_
-               ? static_cast<double>(degradation_->hot_count(sim_->now()))
+               ? static_cast<double>(degradation_->hot_count(sim_.now()))
                : 0.0;
   });
   series_->add_gauge("slo_fast_burn", [this] {
-    return slo_ ? slo_->burn_rate(sim_->now(), slo_->config().short_window)
+    return slo_ ? slo_->burn_rate(sim_.now(), slo_->config().short_window)
                 : 0.0;
   });
   series_->on_window_close([this] { window_ = WindowCounts{}; });
@@ -208,7 +187,7 @@ space::ChurnController::Counters LoadRunner::churn_counters() const {
 
 LoadReport LoadRunner::run() {
   prepare();
-  sim_->run();
+  sim_.run();
   return collect();
 }
 
@@ -228,9 +207,9 @@ void LoadRunner::prepare() {
   // arrivals with transfers in flight, exactly like a real incident.
   if (churn_) {
     config_.fault_schedule.install(
-        *sim_, [this](const faults::FaultEvent& event) {
+        sim_, [this](const faults::FaultEvent& event) {
           if (timeline_enabled_) {
-            timeline_.record(sim_->now(),
+            timeline_.record(sim_.now(),
                              event.transition == faults::Transition::kFail
                                  ? "fault.fail"
                                  : "fault.recover",
@@ -250,8 +229,8 @@ void LoadRunner::prepare() {
   // Observability ticks are DES events too: the SLO evaluator first so the
   // series recorder (installed after, same boundaries) samples the already
   // updated burn rate and alert state.
-  if (slo_) slo_->install(*sim_, config_.horizon);
-  if (series_) series_->install(*sim_, config_.horizon);
+  if (slo_) slo_->install(sim_, config_.horizon);
+  if (series_) series_->install(sim_, config_.horizon);
 
   for (std::size_t i = 0; i < traffic_.clients().size(); ++i) {
     schedule_next_arrival(i);
@@ -326,9 +305,9 @@ LoadReport LoadRunner::collect() {
 
 void LoadRunner::schedule_next_arrival(std::size_t client_index) {
   const Milliseconds gap =
-      traffic_.next_interarrival(client_index, sim_->now(), city_rng_[client_index]);
-  if (sim_->now() + gap >= config_.horizon) return;  // open loop ends at horizon
-  sim_->schedule(gap, [this, client_index] { handle_arrival(client_index); });
+      traffic_.next_interarrival(client_index, sim_.now(), city_rng_[client_index]);
+  if (sim_.now() + gap >= config_.horizon) return;  // open loop ends at horizon
+  sim_.schedule(gap, [this, client_index] { handle_arrival(client_index); });
 }
 
 void LoadRunner::handle_arrival(std::size_t client_index) {
@@ -342,7 +321,7 @@ void LoadRunner::handle_arrival(std::size_t client_index) {
   des::Rng& rng = city_rng_[client_index];
   const data::CountryInfo& country = *city_country_[client_index];
   const cdn::ContentItem& item = traffic_.sample_object(country, rng);
-  const Milliseconds arrival = sim_->now();
+  const Milliseconds arrival = sim_.now();
 
   std::optional<space::FetchResult> fetch;
   Milliseconds first_byte{0.0};
@@ -436,14 +415,14 @@ void LoadRunner::dispatch_transfer(std::size_t client_index,
     gateway_queue(*fetch.gateway)
         .submit(volume, flow, [this, to_downlink, isl_wait](Milliseconds gw_wait) {
           if (isl_wait.value() > 0.0) {
-            sim_->schedule(isl_wait,
+            sim_.schedule(isl_wait,
                           [to_downlink, gw_wait] { to_downlink(gw_wait); });
           } else {
             to_downlink(gw_wait);
           }
         });
   } else if (isl_wait.value() > 0.0) {
-    sim_->schedule(isl_wait, [to_downlink] { to_downlink(Milliseconds{0.0}); });
+    sim_.schedule(isl_wait, [to_downlink] { to_downlink(Milliseconds{0.0}); });
   } else {
     to_downlink(Milliseconds{0.0});
   }
@@ -460,7 +439,7 @@ Milliseconds LoadRunner::charge_isl_path(const std::vector<std::uint32_t>& path,
   // the slower downlink hop).
   for (std::size_t k = path.size() - 1; k > 0; --k) {
     net::LinkLoad& load = isl_load_[link_key(path[k], path[k - 1])];
-    wait += load.charge(sim_->now() + wait, serialization, volume);
+    wait += load.charge(sim_.now() + wait, serialization, volume);
   }
   return wait;
 }
@@ -468,7 +447,7 @@ Milliseconds LoadRunner::charge_isl_path(const std::vector<std::uint32_t>& path,
 LinkQueue& LoadRunner::downlink_queue(std::uint32_t satellite) {
   auto& slot = downlink_queues_[satellite];
   if (!slot) {
-    slot = std::make_unique<LinkQueue>(*sim_, config_.capacity.satellite_downlink,
+    slot = std::make_unique<LinkQueue>(sim_, config_.capacity.satellite_downlink,
                                        config_.capacity.discipline,
                                        config_.capacity.drr_quantum);
   }
@@ -479,7 +458,7 @@ LinkQueue& LoadRunner::gateway_queue(std::size_t gateway) {
   if (gateway >= gateway_queues_.size()) gateway_queues_.resize(gateway + 1);
   auto& slot = gateway_queues_[gateway];
   if (!slot) {
-    slot = std::make_unique<LinkQueue>(*sim_, config_.capacity.gateway,
+    slot = std::make_unique<LinkQueue>(sim_, config_.capacity.gateway,
                                        config_.capacity.discipline,
                                        config_.capacity.drr_quantum);
   }
@@ -498,14 +477,14 @@ void LoadRunner::finish_transfer(std::size_t client_index, space::FetchTier tier
   // sim time since arrival already contains every queueing + serialization
   // stage (the ISL wait was materialised as a schedule delay); the first
   // byte's RTT rides on top.
-  const Milliseconds transfer = sim_->now() - arrival;
+  const Milliseconds transfer = sim_.now() - arrival;
   const Milliseconds latency = first_byte + transfer;
   report_.latency_ms.add(latency.value());
   report_.queue_wait_ms.add((queue_wait + isl_wait).value());
 
   const double deadline = config_.request_deadline.value();
   const bool met_deadline = deadline <= 0.0 || latency.value() <= deadline;
-  note_outcome(sim_->now(), met_deadline);
+  note_outcome(sim_.now(), met_deadline);
   if (series_) {
     ++window_.completed;
     window_.latency_ms.add(latency.value());
@@ -513,7 +492,7 @@ void LoadRunner::finish_transfer(std::size_t client_index, space::FetchTier tier
   if (!met_deadline) {
     ++report_.deadline_missed;
     if (series_) ++window_.deadline_missed;
-    note_deadline_miss(sim_->now());
+    note_deadline_miss(sim_.now());
     if (latency.value() > 2.0 * deadline) {
       // The viewer moved on: delivered, but not goodput.
       ++report_.abandoned;

@@ -172,14 +172,12 @@ class LoadRunner {
              cdn::CdnDeployment& ground_cdn, std::vector<sim::Shell1Client> clients,
              LoadConfig config);
 
-  /// External-engine variant: the run's events land on `engine` instead of a
-  /// private simulator.  This is the sharded load mode's entry point -- each
-  /// shard's runner targets one ShardedSimulator shard and the caller drives
-  /// the engines (prepare() then the engine's run loop then collect());
-  /// `engine` must outlive the runner.
-  LoadRunner(des::Simulator& engine, lsn::StarlinkNetwork& network,
-             space::SatelliteFleet& fleet, cdn::CdnDeployment& ground_cdn,
-             std::vector<sim::Shell1Client> clients, LoadConfig config);
+  /// The constructor installs hooks, probes and callbacks that capture
+  /// `this`, so a runner can be neither copied nor moved.
+  LoadRunner(const LoadRunner&) = delete;
+  LoadRunner& operator=(const LoadRunner&) = delete;
+  LoadRunner(LoadRunner&&) = delete;
+  LoadRunner& operator=(LoadRunner&&) = delete;
 
   /// The backpressure hook: fires on every admission rejection.  Install
   /// before run(); e.g. feed a faults-style degradation policy.
@@ -196,12 +194,12 @@ class LoadRunner {
   [[nodiscard]] LoadReport collect();
 
   /// prepare() + run the engine to completion + collect(), the one-call
-  /// serial path every bench default uses.
+  /// path every bench uses.
   [[nodiscard]] LoadReport run();
 
-  /// The simulator this run schedules on (owned unless the external-engine
-  /// constructor was used).
-  [[nodiscard]] des::Simulator& engine() noexcept { return *sim_; }
+  /// The simulator this run schedules on; a caller may drive the stages
+  /// itself (prepare(), engine().run(), collect()) to time each one.
+  [[nodiscard]] des::Simulator& engine() noexcept { return sim_; }
 
   [[nodiscard]] const TrafficModel& traffic() const noexcept { return traffic_; }
   [[nodiscard]] const LoadConfig& config() const noexcept { return config_; }
@@ -233,9 +231,6 @@ class LoadRunner {
   /// recorder once per window.
   void note_deadline_miss(Milliseconds now);
 
-  /// Shared tail of both constructors: churn/degradation/hook wiring, the
-  /// per-city streams, and observability setup.
-  void init(lsn::StarlinkNetwork& network, space::SatelliteFleet& fleet);
   /// Engages the recorder / SLO tracker / timeline producers per config
   /// (called from the constructor; no-op when everything is off).
   void setup_observability();
@@ -248,10 +243,7 @@ class LoadRunner {
   space::SatelliteFleet* fleet_;
   LoadConfig config_;
   TrafficModel traffic_;
-  /// Engine storage for the owning constructor; null in external-engine mode.
-  std::unique_ptr<des::Simulator> owned_sim_;
-  /// The engine every event lands on (owned_sim_ or the caller's shard).
-  des::Simulator* sim_;
+  des::Simulator sim_;
   space::SpaceCdnRouter router_;
   AdmissionController admission_;
   /// Applies fault_schedule events mid-run (engaged only when non-empty).

@@ -95,6 +95,7 @@ PageLoadResult PageLoadSimulator::load(const PageProfile& page, const PathModel&
                });
 
   sim.run();
+  *pump = nullptr;  // the pump captures its own shared_ptr; break the cycle
 
   PageLoadResult result;
   result.objects_fetched = state->done;

@@ -112,9 +112,7 @@ class Graph {
   [[nodiscard]] CsrView csr() const;
 
   /// Smallest edge weight in the graph, or Milliseconds{infinity} when the
-  /// graph has no edges.  This is the natural conservative lookahead for a
-  /// sharded simulation whose cross-shard interactions traverse the graph:
-  /// no event can influence another shard in less than one edge delay.
+  /// graph has no edges (tracked alongside the CSR rebuild).
   [[nodiscard]] Milliseconds min_edge_weight() const;
 
  private:

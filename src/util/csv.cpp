@@ -67,57 +67,4 @@ void CsvWriter::write_cells(const std::vector<std::string>& cells) {
   out_ << '\n';
 }
 
-std::vector<std::string> parse_csv_line(std::string_view line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell.push_back('"');
-          ++i;  // escaped quote
-        } else {
-          quoted = false;
-        }
-      } else {
-        cell.push_back(c);
-      }
-    } else if (c == '"' && cell.empty()) {
-      quoted = true;
-    } else if (c == ',') {
-      cells.push_back(std::move(cell));
-      cell.clear();
-    } else if (c == '\r' && i + 1 == line.size()) {
-      // tolerate CRLF line endings
-    } else {
-      cell.push_back(c);
-    }
-  }
-  SPACECDN_EXPECT(!quoted, "unterminated quoted CSV cell");
-  cells.push_back(std::move(cell));
-  return cells;
-}
-
-CsvReader::CsvReader(std::istream& in, std::vector<std::string> expected_header)
-    : in_(in) {
-  std::string line;
-  SPACECDN_EXPECT(static_cast<bool>(std::getline(in_, line)),
-                  "CSV input must carry a header line");
-  header_ = parse_csv_line(line);
-  if (!expected_header.empty()) {
-    SPACECDN_EXPECT(header_ == expected_header, "CSV header does not match schema");
-  }
-}
-
-bool CsvReader::next_row(std::vector<std::string>& cells) {
-  std::string line;
-  if (!std::getline(in_, line)) return false;
-  cells = parse_csv_line(line);
-  SPACECDN_EXPECT(cells.size() == header_.size(), "CSV row arity must match header");
-  ++rows_;
-  return true;
-}
-
 }  // namespace spacecdn

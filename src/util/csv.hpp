@@ -4,7 +4,6 @@
 #pragma once
 
 #include <initializer_list>
-#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -44,36 +43,6 @@ class CsvWriter {
 
   std::ostream& out_;
   std::size_t arity_;
-  std::size_t rows_ = 0;
-};
-
-/// Splits one CSV line into cells, honouring RFC-4180 quoting ("" escapes a
-/// quote inside a quoted cell).  @throws spacecdn::ConfigError on an
-/// unterminated quoted cell.
-[[nodiscard]] std::vector<std::string> parse_csv_line(std::string_view line);
-
-/// Streaming CSV reader: validates the header on construction, then yields
-/// one row of cells per next_row() until the stream drains.
-class CsvReader {
- public:
-  /// @param in  source stream; must outlive the reader.
-  /// @param expected_header  if non-empty, the first line must match exactly
-  /// (@throws spacecdn::ConfigError otherwise).
-  CsvReader(std::istream& in, std::vector<std::string> expected_header = {});
-
-  [[nodiscard]] const std::vector<std::string>& header() const noexcept {
-    return header_;
-  }
-
-  /// Reads the next data row into `cells`; returns false at end of input.
-  /// Rows whose arity differs from the header throw spacecdn::ConfigError.
-  bool next_row(std::vector<std::string>& cells);
-
-  [[nodiscard]] std::size_t rows_read() const noexcept { return rows_; }
-
- private:
-  std::istream& in_;
-  std::vector<std::string> header_;
   std::size_t rows_ = 0;
 };
 

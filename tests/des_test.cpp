@@ -160,6 +160,36 @@ TEST(Simulator, RejectsNegativeDelayAndPastSchedule) {
   EXPECT_THROW(sim.schedule_at(Milliseconds{5.0}, [] {}), ConfigError);
 }
 
+TEST(SimulatorOrdering, ScheduleAtNowFromActionRunsAfterQueuedPeers) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(Milliseconds{5.0}, [&] {
+    order.push_back(0);
+    // Scheduled *at the current instant* from inside an action: it must run
+    // after every event already queued for t=5 (stable FIFO by sequence).
+    sim.schedule_at(sim.now(), [&] { order.push_back(3); });
+  });
+  sim.schedule_at(Milliseconds{5.0}, [&] { order.push_back(1); });
+  sim.schedule_at(Milliseconds{5.0}, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SimulatorOrdering, CancelInsideActionSuppressesSameInstantPeer) {
+  Simulator sim;
+  std::vector<int> order;
+  EventId victim = 0;
+  sim.schedule_at(Milliseconds{2.0}, [&] {
+    order.push_back(0);
+    EXPECT_TRUE(sim.cancel(victim));   // not yet fired: cancellable
+    EXPECT_FALSE(sim.cancel(victim));  // second cancel is a stale no-op
+  });
+  victim = sim.schedule_at(Milliseconds{2.0}, [&] { order.push_back(99); });
+  sim.schedule_at(Milliseconds{2.0}, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
 TEST(Rng, DeterministicGivenSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) {

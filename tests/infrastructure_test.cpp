@@ -1,11 +1,10 @@
 // Tests for the deeper infrastructure modules: processor-sharing flows,
-// hierarchical CDN, consistent hashing, cell capacity, synthetic
-// traceroutes, and the CLI parser.
+// hierarchical CDN, cell capacity, synthetic traceroutes, and the CLI
+// parser.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "cdn/consistent_hash.hpp"
 #include "cdn/hierarchy.hpp"
 #include "data/datasets.hpp"
 #include "geo/distance.hpp"
@@ -181,66 +180,6 @@ TEST(Hierarchy, LatencyAccumulatesPerTier) {
   EXPECT_GT(miss.first_byte.value(), 100.0);
   const auto hit = tree.serve(edge, obj, Milliseconds{10.0}, Milliseconds{0.0});
   EXPECT_DOUBLE_EQ(hit.first_byte.value(), 10.0);
-}
-
-// --------------------------------------------------------- consistent hash
-
-TEST(ConsistentHash, DeterministicAssignment) {
-  cdn::ConsistentHashRing ring;
-  ring.add_server("a");
-  ring.add_server("b");
-  ring.add_server("c");
-  for (cdn::ContentId id = 0; id < 100; ++id) {
-    EXPECT_EQ(ring.server_for(id), ring.server_for(id));
-  }
-}
-
-TEST(ConsistentHash, BalanceWithinTolerance) {
-  cdn::ConsistentHashRing ring(200);
-  for (const char* name : {"s1", "s2", "s3", "s4", "s5"}) ring.add_server(name);
-  const auto fractions = ring.ownership_fractions();
-  ASSERT_EQ(fractions.size(), 5u);
-  for (const auto& [name, fraction] : fractions) {
-    EXPECT_NEAR(fraction, 0.2, 0.06) << name;
-  }
-}
-
-TEST(ConsistentHash, RemovalOnlyRemapsVictimsKeys) {
-  cdn::ConsistentHashRing ring;
-  for (const char* name : {"s1", "s2", "s3", "s4"}) ring.add_server(name);
-  std::map<cdn::ContentId, std::string> before;
-  for (cdn::ContentId id = 0; id < 5000; ++id) before[id] = ring.server_for(id);
-  ASSERT_TRUE(ring.remove_server("s2"));
-  std::uint64_t moved = 0;
-  for (cdn::ContentId id = 0; id < 5000; ++id) {
-    const std::string& now = ring.server_for(id);
-    EXPECT_NE(now, "s2");
-    if (before[id] != "s2") {
-      EXPECT_EQ(now, before[id]);  // untouched keys stay put
-    } else {
-      ++moved;
-    }
-  }
-  EXPECT_GT(moved, 0u);
-}
-
-TEST(ConsistentHash, ReplicaSetsAreDistinct) {
-  cdn::ConsistentHashRing ring;
-  for (const char* name : {"s1", "s2", "s3"}) ring.add_server(name);
-  const auto replicas = ring.servers_for(42, 3);
-  ASSERT_EQ(replicas.size(), 3u);
-  EXPECT_NE(replicas[0], replicas[1]);
-  EXPECT_NE(replicas[1], replicas[2]);
-  // Asking for more replicas than servers returns all servers.
-  EXPECT_EQ(ring.servers_for(42, 10).size(), 3u);
-}
-
-TEST(ConsistentHash, EmptyRingThrows) {
-  cdn::ConsistentHashRing ring;
-  EXPECT_THROW((void)ring.server_for(1), ConfigError);
-  ring.add_server("only");
-  EXPECT_EQ(ring.server_for(1), "only");
-  EXPECT_FALSE(ring.remove_server("ghost"));
 }
 
 // ------------------------------------------------------------ cell capacity

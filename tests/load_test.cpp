@@ -3,6 +3,7 @@
 // determinism on the reduced test-shell constellation.
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include "load/capacity.hpp"
 #include "load/degradation.hpp"
 #include "load/load_runner.hpp"
-#include "load/sharded.hpp"
 #include "load/traffic.hpp"
 #include "lsn/starlink.hpp"
 #include "sim/scenario.hpp"
@@ -634,18 +634,12 @@ TEST(LoadRunner, SeriesAndTimelineAreDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded load mode (load::run_sharded_load over des::ShardedSimulator)
+// Staged run: prepare() + engine().run() + collect() is run()
 // ---------------------------------------------------------------------------
 
-load::ShardedLoadOutcome run_sharded(sim::World& world, const load::LoadConfig& config,
-                                     std::size_t shards, ThreadPool* pool) {
-  load::ShardedLoadOptions options;
-  options.shards = shards;
-  return load::run_sharded_load(
-      world.network(), world.clients(), config, options,
-      [&world] { return world.make_fleet(); },
-      [&world] { return world.make_ground_cdn(); }, pool);
-}
+// The constructor hands `this` to hooks, probes and callbacks, so a moved
+// runner would fire them into the moved-from object.
+static_assert(!std::is_move_constructible_v<load::LoadRunner>);
 
 void expect_reports_identical(const load::LoadReport& a, const load::LoadReport& b) {
   EXPECT_EQ(a.offered, b.offered);
@@ -658,60 +652,43 @@ void expect_reports_identical(const load::LoadReport& a, const load::LoadReport&
   EXPECT_EQ(a.satellite_utilization, b.satellite_utilization);
 }
 
-TEST(ShardedLoad, PartitionPreservesClientsAndOrder) {
+TEST(LoadRunner, StagedRunMatchesRun) {
   sim::World world(load_test_spec());
-  const auto& clients = world.clients();
-  const auto groups =
-      load::partition_clients_by_serving(world.network(), clients, 3);
-  ASSERT_EQ(groups.size(), 3u);
-  std::size_t total = 0;
-  for (const auto& group : groups) {
-    total += group.size();
-    // Within a group, clients keep their input (dataset) order.
-    for (std::size_t i = 1; i < group.size(); ++i) {
-      EXPECT_LT(group[i - 1].dataset_index, group[i].dataset_index);
-    }
-  }
-  EXPECT_EQ(total, clients.size());
-}
-
-TEST(ShardedLoad, SingleShardMatchesSerialRunner) {
-  sim::World world(load_test_spec());
-  const load::LoadConfig config = load::load_config_from_spec(world.spec());
-  const load::LoadReport serial = run_load(world, config);
-  const load::ShardedLoadOutcome sharded = run_sharded(world, config, 1, nullptr);
-  expect_reports_identical(serial, sharded.report);
-  EXPECT_GT(sharded.windows, 0u);
-  ASSERT_EQ(sharded.shard_completed.size(), 1u);
-  EXPECT_EQ(sharded.shard_completed[0], serial.completed);
-}
-
-TEST(ShardedLoad, FixedShardCountIsThreadInvariant) {
-  sim::World world(load_test_spec());
-  const load::LoadConfig config = load::load_config_from_spec(world.spec());
-  const load::ShardedLoadOutcome serial = run_sharded(world, config, 3, nullptr);
-  EXPECT_GT(serial.report.completed, 0u);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    const load::ShardedLoadOutcome parallel = run_sharded(world, config, 3, &pool);
-    expect_reports_identical(serial.report, parallel.report);
-    EXPECT_EQ(serial.shard_completed, parallel.shard_completed);
-    EXPECT_EQ(serial.windows, parallel.windows);
-  }
-}
-
-TEST(ShardedLoad, RejectsPerRunGlobalProducers) {
-  sim::World world(load_test_spec());
-  load::LoadConfig faulted = load::load_config_from_spec(world.spec());
+  const lsn::StarlinkConfig preset = lsn::starlink_preset(world.spec().constellation);
+  load::LoadConfig plain = load::load_config_from_spec(world.spec());
+  load::LoadConfig faulted = plain;
   using faults::Component;
   using faults::Transition;
-  faulted.fault_schedule = faults::FaultSchedule::from_trace(
-      {{Milliseconds{100.0}, Component::kSatellite, Transition::kFail, 1}});
-  EXPECT_THROW((void)run_sharded(world, faulted, 2, nullptr), ConfigError);
+  faulted.fault_schedule = faults::FaultSchedule::from_trace({
+      {Milliseconds{600.0}, Component::kSatellite, Transition::kFail, 3},
+      {Milliseconds{1'400.0}, Component::kSatellite, Transition::kRecover, 3},
+  });
 
-  load::LoadConfig with_series = load::load_config_from_spec(world.spec());
-  with_series.series_interval = Milliseconds{100.0};
-  EXPECT_THROW((void)run_sharded(world, with_series, 2, nullptr), ConfigError);
+  for (const load::LoadConfig* config : {&plain, &faulted}) {
+    // Each run mutates its network under the fault schedule, so each gets
+    // its own.
+    const auto run_network = world.make_network(preset);
+    space::SatelliteFleet run_fleet = world.make_fleet();
+    cdn::CdnDeployment run_ground = world.make_ground_cdn();
+    load::LoadRunner one_call(*run_network, run_fleet, run_ground, world.clients(),
+                              *config);
+    const load::LoadReport expected = one_call.run();
+
+    const auto staged_network = world.make_network(preset);
+    space::SatelliteFleet staged_fleet = world.make_fleet();
+    cdn::CdnDeployment staged_ground = world.make_ground_cdn();
+    load::LoadRunner staged(*staged_network, staged_fleet, staged_ground,
+                            world.clients(), *config);
+    staged.prepare();
+    staged.engine().run();
+    const load::LoadReport actual = staged.collect();
+
+    ASSERT_GT(expected.completed, 0u);
+    expect_reports_identical(expected, actual);
+    const std::uint64_t failures = config == &faulted ? 1u : 0u;
+    EXPECT_EQ(one_call.churn_counters().satellite_failures, failures);
+    EXPECT_EQ(staged.churn_counters().satellite_failures, failures);
+  }
 }
 
 }  // namespace

@@ -7,15 +7,11 @@
 #include <set>
 #include <utility>
 
-#include <sstream>
-
 #include "data/datasets.hpp"
 #include "measurement/aim.hpp"
 #include "measurement/analysis.hpp"
-#include "measurement/dataset_io.hpp"
 #include "measurement/web.hpp"
 #include "sim/world.hpp"
-#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace spacecdn::measurement {
@@ -259,62 +255,6 @@ TEST(Web, HrtDifferenceShapeMatchesFigure4) {
     const double delta = star.median() - terr.median();
     EXPECT_EQ(delta > 0, mostly_positive) << code << " delta=" << delta;
   }
-}
-
-TEST(DatasetIo, SpeedTestRoundTrip) {
-  AimConfig cfg;
-  cfg.tests_per_city = 4;
-  AimCampaign campaign(shell1(), cfg);
-  const auto original = campaign.run_country(data::country("CY"));
-  ASSERT_FALSE(original.empty());
-
-  std::stringstream buffer;
-  write_speedtests(buffer, original);
-  const auto restored = read_speedtests(buffer);
-  ASSERT_EQ(restored.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(restored[i].country_code, original[i].country_code);
-    EXPECT_EQ(restored[i].city, original[i].city);
-    EXPECT_EQ(restored[i].isp, original[i].isp);
-    EXPECT_EQ(restored[i].cdn_site, original[i].cdn_site);
-    // %.6g formatting keeps 6 significant digits.
-    EXPECT_NEAR(restored[i].idle_rtt.value(), original[i].idle_rtt.value(),
-                original[i].idle_rtt.value() * 1e-5 + 1e-4);
-    EXPECT_NEAR(restored[i].distance.value(), original[i].distance.value(),
-                original[i].distance.value() * 1e-5 + 1e-4);
-  }
-}
-
-TEST(DatasetIo, WebRecordRoundTripPreservesAnalysis) {
-  NetMetCampaign campaign(shell1(), {.fetches_per_page = 1});
-  const auto original = campaign.run_country(data::country("JP"));
-  std::stringstream buffer;
-  write_web_records(buffer, original);
-  const auto restored = read_web_records(buffer);
-  ASSERT_EQ(restored.size(), original.size());
-  des::SampleSet before, after;
-  for (const auto& r : original) before.add(r.http_response.value());
-  for (const auto& r : restored) after.add(r.http_response.value());
-  EXPECT_NEAR(before.median(), after.median(), 0.01);
-}
-
-TEST(DatasetIo, RejectsWrongSchema) {
-  std::stringstream wrong("a,b,c\n1,2,3\n");
-  EXPECT_THROW((void)read_speedtests(wrong), ConfigError);
-  std::stringstream bad_isp(
-      "country,city,isp,cdn_site,idle_rtt_ms,loaded_rtt_ms,jitter_ms,"
-      "download_mbps,upload_mbps,distance_km\nXX,C,carrier-pigeon,AAA,1,2,3,4,5,6\n");
-  EXPECT_THROW((void)read_speedtests(bad_isp), ConfigError);
-}
-
-TEST(DatasetIo, CsvParserHandlesQuoting) {
-  const auto cells = parse_csv_line(R"(plain,"with,comma","say ""hi""",)");
-  ASSERT_EQ(cells.size(), 4u);
-  EXPECT_EQ(cells[0], "plain");
-  EXPECT_EQ(cells[1], "with,comma");
-  EXPECT_EQ(cells[2], "say \"hi\"");
-  EXPECT_EQ(cells[3], "");
-  EXPECT_THROW((void)parse_csv_line("\"unterminated"), ConfigError);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Tests for the DES page-load simulator and the predictive bubble scheduler,
-// including cross-validation of the DES page loader against the analytic
-// NetMet model.
+// Tests for the DES page-load simulator, including cross-validation against
+// the analytic NetMet model (measurement/web.hpp) behind figures 4 and 5.
 #include <gtest/gtest.h>
 
 #include "data/datasets.hpp"
@@ -9,7 +8,6 @@
 #include "measurement/pageload.hpp"
 #include "measurement/web.hpp"
 #include "sim/world.hpp"
-#include "spacecdn/bubble_scheduler.hpp"
 #include "util/error.hpp"
 
 namespace spacecdn {
@@ -115,76 +113,6 @@ TEST(PageLoad, AgreesWithAnalyticModelOnDirection) {
   // The two models agree within a factor of two on the medians.
   EXPECT_LT(std::abs(des_terr.median() - ana_terr.median()),
             std::max(des_terr.median(), ana_terr.median()));
-}
-
-TEST(BubbleScheduler, PlansOneTaskPerPass) {
-  static const orbit::WalkerConstellation shell(orbit::starlink_shell1());
-  des::Rng rng(7);
-  const cdn::ContentCatalog catalog({.object_count = 1000}, rng);
-  const cdn::RegionalPopularity popularity(catalog.size(), {});
-  const space::ContentBubbleManager bubbles(catalog, popularity, {});
-  const space::BubbleScheduler scheduler(shell, bubbles, catalog);
-
-  const geo::GeoPoint anchor = data::location(data::city("Berlin"));
-  const orbit::GroundTrackPredictor predictor(shell);
-  const Milliseconds horizon = Milliseconds::from_minutes(300.0);
-  const auto passes = predictor.passes(5, anchor, 25.0, Milliseconds{0.0}, horizon);
-  const auto tasks = scheduler.plan(5, data::Region::kEurope, anchor,
-                                    Milliseconds{0.0}, horizon);
-  EXPECT_EQ(tasks.size(), passes.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    EXPECT_LE(tasks[i].start_upload.value(), tasks[i].deadline.value());
-    EXPECT_DOUBLE_EQ(tasks[i].deadline.value(), passes[i].rise.value());
-  }
-}
-
-TEST(BubbleScheduler, UploadTimeScalesWithFeeder) {
-  static const orbit::WalkerConstellation shell(orbit::starlink_shell1());
-  des::Rng rng(8);
-  const cdn::ContentCatalog catalog({.object_count = 1000}, rng);
-  const cdn::RegionalPopularity popularity(catalog.size(), {});
-  const space::ContentBubbleManager bubbles(catalog, popularity, {});
-
-  space::BubbleScheduleConfig fast_cfg;
-  fast_cfg.feeder_bandwidth = Mbps{2000.0};
-  space::BubbleScheduleConfig slow_cfg;
-  slow_cfg.feeder_bandwidth = Mbps{200.0};
-  const space::BubbleScheduler fast(shell, bubbles, catalog, fast_cfg);
-  const space::BubbleScheduler slow(shell, bubbles, catalog, slow_cfg);
-  EXPECT_NEAR(slow.upload_time(data::Region::kAsia).value(),
-              10.0 * fast.upload_time(data::Region::kAsia).value(), 1e-6);
-}
-
-TEST(BubbleScheduler, ExecuteDueWarmsCacheBeforeArrival) {
-  static const orbit::WalkerConstellation shell(orbit::starlink_shell1());
-  des::Rng rng(9);
-  const cdn::ContentCatalog catalog({.object_count = 1000}, rng);
-  const cdn::RegionalPopularity popularity(catalog.size(), {});
-  space::BubbleConfig bcfg;
-  bcfg.prefetch_top_k = 50;
-  const space::ContentBubbleManager bubbles(catalog, popularity, bcfg);
-  const space::BubbleScheduler scheduler(shell, bubbles, catalog);
-
-  const geo::GeoPoint anchor = data::location(data::city("Madrid"));
-  auto tasks = scheduler.plan(11, data::Region::kEurope, anchor, Milliseconds{0.0},
-                              Milliseconds::from_minutes(300.0));
-  if (tasks.empty()) GTEST_SKIP() << "satellite 11 has no pass in the window";
-
-  space::SatelliteFleet fleet(shell.size(),
-                              space::FleetConfig{Megabytes{1e6},
-                                                 cdn::CachePolicy::kLru});
-  // Before the upload window: nothing executes.
-  const Milliseconds before{tasks.front().start_upload - Milliseconds{1.0}};
-  if (before.value() > 0.0) {
-    EXPECT_EQ(scheduler.execute_due(tasks, fleet, anchor, before), 0u);
-  }
-  // At the deadline every opened window has executed and the cache is warm.
-  const std::size_t planned = tasks.size();
-  const auto executed =
-      scheduler.execute_due(tasks, fleet, anchor, tasks.front().deadline);
-  EXPECT_GE(executed, 1u);
-  EXPECT_EQ(tasks.size(), planned - executed);
-  EXPECT_GE(fleet.cache(11).object_count(), 50u);
 }
 
 }  // namespace

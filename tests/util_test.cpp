@@ -1,11 +1,16 @@
-// Unit tests for the util module: strong units, error handling, CSV, tables.
+// Unit tests for the util module: strong units, error handling, CSV, tables,
+// and the thread pool's edge cases.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace spacecdn {
@@ -180,6 +185,47 @@ TEST(Table, AsciiBar) {
 TEST(Table, FormatFixed) {
   EXPECT_EQ(ConsoleTable::format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(ConsoleTable::format_fixed(-1.0, 0), "-1");
+}
+
+TEST(ThreadPoolEdges, SingleWorkerPoolRunsInline) {
+  ThreadPool pool(1);
+  std::vector<int> order;  // no atomics needed: inline execution is serial
+  pool.parallel_for(5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPoolEdges, FirstExceptionPropagatesToCaller) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(
+      pool.parallel_for(256,
+                        [&](std::size_t i) {
+                          ran.fetch_add(1, std::memory_order_relaxed);
+                          if (i == 17) throw std::runtime_error("boom");
+                        }),
+      std::runtime_error);
+  // Lanes stop at the failure flag; not every index needs to have run.
+  EXPECT_GE(ran.load(), 1);
+  EXPECT_LE(ran.load(), 256);
+  // The pool survives a failed sweep.
+  std::atomic<int> sum{0};
+  pool.parallel_for(10, [&](std::size_t i) {
+    sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
+  });
+  EXPECT_EQ(sum.load(), 45);
+}
+
+TEST(ThreadPoolEdges, NestedParallelForRunsInlineInsteadOfDeadlocking) {
+  ThreadPool pool(2);
+  std::atomic<int> inner_total{0};
+  pool.parallel_for(4, [&](std::size_t) {
+    // From a worker thread, a nested sweep must not re-enter the queue and
+    // block on its own completion.
+    pool.parallel_for(8, [&](std::size_t j) {
+      inner_total.fetch_add(static_cast<int>(j) + 1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(inner_total.load(), 4 * 36);
 }
 
 }  // namespace
