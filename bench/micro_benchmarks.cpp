@@ -7,6 +7,7 @@
 #include "data/datasets.hpp"
 #include "des/random.hpp"
 #include "des/simulator.hpp"
+#include "des/stats.hpp"
 #include "geo/batch.hpp"
 #include "geo/distance.hpp"
 #include "load/capacity.hpp"
@@ -379,6 +380,29 @@ void BM_PlacementMapRebalance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlacementMapRebalance);
+
+void BM_SampleSetTrailingP99(benchmark::State& state) {
+  // The load engine's auto hedge delay: a completion p99 re-read every 256
+  // completions, here over one 50k-sample stream per iteration.  With the
+  // incremental sort each re-read merges 256 new samples into the sorted
+  // copy instead of re-sorting all of it.
+  constexpr std::size_t kSamples = 50'000;
+  constexpr std::size_t kEvery = 256;
+  des::Rng rng(17);
+  std::vector<double> latencies(kSamples);
+  for (double& x : latencies) x = rng.lognormal_median(40.0, 0.6);
+  for (auto _ : state) {
+    des::SampleSet set;
+    double p99 = 0.0;
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      set.add(latencies[i]);
+      if ((i + 1) % kEvery == 0) p99 = set.quantile(0.99);
+    }
+    benchmark::DoNotOptimize(p99);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kSamples));
+}
+BENCHMARK(BM_SampleSetTrailingP99);
 
 }  // namespace
 

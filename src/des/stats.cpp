@@ -51,21 +51,22 @@ double OnlineSummary::stddev() const noexcept { return std::sqrt(variance()); }
 
 SampleSet::SampleSet(std::vector<double> samples) : samples_(std::move(samples)) {}
 
-void SampleSet::add(double x) {
-  samples_.push_back(x);
-  sorted_valid_ = false;
-}
+void SampleSet::add(double x) { samples_.push_back(x); }
 
 void SampleSet::add_all(const std::vector<double>& xs) {
   samples_.insert(samples_.end(), xs.begin(), xs.end());
-  sorted_valid_ = false;
 }
 
 void SampleSet::ensure_sorted() const {
-  if (sorted_valid_) return;
-  sorted_ = samples_;
-  std::sort(sorted_.begin(), sorted_.end());
-  sorted_valid_ = true;
+  const std::size_t sorted = sorted_.size();
+  if (sorted == samples_.size()) return;
+  // Samples are only ever appended, so sorted_ is a sorted prefix: sort the
+  // new tail alone and merge it in.
+  sorted_.insert(sorted_.end(), samples_.begin() + static_cast<std::ptrdiff_t>(sorted),
+                 samples_.end());
+  const auto middle = sorted_.begin() + static_cast<std::ptrdiff_t>(sorted);
+  std::sort(middle, sorted_.end());
+  std::inplace_merge(sorted_.begin(), middle, sorted_.end());
 }
 
 double SampleSet::quantile(double q) const {

@@ -56,7 +56,9 @@ struct CdfPoint {
 /// Stores samples and answers quantile / CDF queries.
 ///
 /// Quantiles use linear interpolation between order statistics (type-7, the
-/// numpy/R default).  Sorting is deferred and cached.
+/// numpy/R default).  Sorting is deferred and incremental: a query after
+/// k appends sorts those k and merges them into the sorted copy, so a
+/// trailing quantile re-read as samples stream in costs O(n + k log k).
 class SampleSet {
  public:
   SampleSet() = default;
@@ -89,8 +91,8 @@ class SampleSet {
   void ensure_sorted() const;
 
   std::vector<double> samples_;
+  /// samples_[0, sorted_.size()) in ascending order.
   mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
 };
 
 /// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp to

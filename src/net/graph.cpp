@@ -62,18 +62,15 @@ void Graph::rebuild_csr() const {
   csr_targets_.reserve(edges_);
   csr_weights_.clear();
   csr_weights_.reserve(edges_);
-  double min_weight = kUnreachableWeight;
   for (std::size_t u = 0; u < n; ++u) {
     // Flattening preserves per-node edge order, the property the queries
     // rely on for bit-exact relaxation order.
     for (const Edge& e : adjacency_[u]) {
       csr_targets_.push_back(e.to);
       csr_weights_.push_back(e.weight.value());
-      if (e.weight.value() < min_weight) min_weight = e.weight.value();
     }
     csr_offsets_[u + 1] = static_cast<std::uint32_t>(csr_targets_.size());
   }
-  csr_min_weight_ = min_weight;
 }
 
 CsrView Graph::csr() const {
@@ -87,11 +84,6 @@ CsrView Graph::csr() const {
     }
   }
   return CsrView{csr_offsets_, csr_targets_, csr_weights_};
-}
-
-Milliseconds Graph::min_edge_weight() const {
-  (void)csr();  // ensure csr_min_weight_ is current
-  return Milliseconds{csr_min_weight_};
 }
 
 namespace {

@@ -111,10 +111,6 @@ class Graph {
   /// concurrent readers, never a reader concurrent with a mutation.
   [[nodiscard]] CsrView csr() const;
 
-  /// Smallest edge weight in the graph, or Milliseconds{infinity} when the
-  /// graph has no edges (tracked alongside the CSR rebuild).
-  [[nodiscard]] Milliseconds min_edge_weight() const;
-
  private:
   /// Flattens adjacency_ into the csr_* arrays; caller holds csr_mutex_.
   void rebuild_csr() const;
@@ -132,9 +128,6 @@ class Graph {
   mutable std::vector<std::uint32_t> csr_offsets_;
   mutable std::vector<NodeId> csr_targets_;
   mutable std::vector<double> csr_weights_;
-  mutable double csr_min_weight_ = kUnreachableWeight;
-
-  static constexpr double kUnreachableWeight = std::numeric_limits<double>::infinity();
 };
 
 inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();

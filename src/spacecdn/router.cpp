@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -87,6 +88,43 @@ const SpaceCdnRouter::GroundSite& SpaceCdnRouter::ground_site(std::size_t pop) {
   return *entry;
 }
 
+std::size_t SpaceCdnRouter::ClientKeyHash::operator()(
+    const ClientKey& key) const noexcept {
+  // splitmix64's finaliser over a fold of the three coordinates.
+  std::uint64_t h = key.lat ^ (key.lon * 0x9e3779b97f4a7c15ULL) ^
+                    (key.alt * 0xc2b2ae3d27d4eb4fULL);
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<std::size_t>(h ^ (h >> 31));
+}
+
+SpaceCdnRouter::ClientGeometry& SpaceCdnRouter::client_geometry(
+    const geo::GeoPoint& client) const {
+  const std::uint64_t epoch = network_->snapshot().epoch();
+  if (epoch != geometry_epoch_) {
+    geometry_.clear();
+    visible_.clear();
+    geometry_epoch_ = epoch;
+  }
+  return geometry_[ClientKey{std::bit_cast<std::uint64_t>(client.lat_deg),
+                             std::bit_cast<std::uint64_t>(client.lon_deg),
+                             std::bit_cast<std::uint64_t>(client.alt_km)}];
+}
+
+std::optional<SpaceCdnRouter::Candidate> SpaceCdnRouter::serving_satellite(
+    const geo::GeoPoint& client) const {
+  ClientGeometry& geometry = client_geometry(client);
+  if (geometry.serving == ClientGeometry::kUnknown) {
+    const auto& snapshot = network_->snapshot();
+    const auto serving =
+        snapshot.serving_satellite(client, network_->config().user_min_elevation_deg);
+    geometry.serving = serving ? *serving : ClientGeometry::kUncovered;
+    if (serving) geometry.serving_range = snapshot.slant_range(client, *serving);
+  }
+  if (geometry.serving == ClientGeometry::kUncovered) return std::nullopt;
+  return Candidate{geometry.serving, geometry.serving_range};
+}
+
 std::optional<FetchResult> SpaceCdnRouter::fetch(const geo::GeoPoint& client,
                                                  const data::CountryInfo& country,
                                                  const cdn::ContentItem& item,
@@ -99,11 +137,10 @@ std::optional<FetchResult> SpaceCdnRouter::fetch(const geo::GeoPoint& client,
     trace->attr(trace->root(), "item", std::to_string(item.id));
   }
 
-  const auto serving = network_->snapshot().serving_satellite(
-      client, network_->config().user_min_elevation_deg);
+  const auto serving = serving_satellite(client);
   if (trace) {
     const std::uint32_t sel = trace->open("serving-selection");
-    trace->attr(sel, "satellite", serving ? std::to_string(*serving) : "none");
+    trace->attr(sel, "satellite", serving ? std::to_string(serving->satellite) : "none");
   }
   if (!serving) {
     static obs::CounterHandle no_coverage{"spacecdn_fetch_no_coverage_total"};
@@ -121,16 +158,16 @@ std::optional<FetchResult> SpaceCdnRouter::fetch(const geo::GeoPoint& client,
   return result;
 }
 
-std::optional<FetchResult> SpaceCdnRouter::attempt_from(std::uint32_t serving,
+std::optional<FetchResult> SpaceCdnRouter::attempt_from(Candidate serving_choice,
                                                         const geo::GeoPoint& client,
                                                         const data::CountryInfo& country,
                                                         const cdn::ContentItem& item,
                                                         des::Rng& rng, Milliseconds now,
                                                         obs::TraceBuilder* trace,
                                                         std::uint32_t parent_span) {
-  const auto& snapshot = network_->snapshot();
-  const Milliseconds uplink = geo::propagation_delay(
-      snapshot.slant_range(client, serving), geo::Medium::kVacuum);
+  const std::uint32_t serving = serving_choice.satellite;
+  const Milliseconds uplink =
+      geo::propagation_delay(serving_choice.range, geo::Medium::kVacuum);
   const Milliseconds space_overhead{rng.lognormal_median(
       config_.service_overhead_rtt.value(), config_.service_overhead_sigma)};
 
@@ -144,8 +181,10 @@ std::optional<FetchResult> SpaceCdnRouter::attempt_from(std::uint32_t serving,
   // tiers outright (set_ground_only) -- the degraded bent-pipe-only mode.
   if (!ground_only_ && !ec_mode && fleet_->cache_enabled(serving) &&
       fleet_->cache(serving).access(item.id, now)) {
-    FetchResult result{FetchTier::kServingSatellite, uplink * 2.0 + space_overhead,
-                       0, serving, false};
+    FetchResult result;
+    result.tier = FetchTier::kServingSatellite;
+    result.rtt = uplink * 2.0 + space_overhead;
+    result.source_satellite = serving;
     result.serving_satellite = serving;
     count_served(result);
     if (trace != nullptr) {
@@ -177,9 +216,11 @@ std::optional<FetchResult> SpaceCdnRouter::attempt_from(std::uint32_t serving,
     const bool admit =
         config_.admit_on_fetch && !ec_mode && fleet_->cache_enabled(serving);
     if (admit) (void)fleet_->cache(serving).insert(item, now);
-    FetchResult result{FetchTier::kIslNeighbor,
-                       (uplink + found->isl_latency) * 2.0 + space_overhead,
-                       found->hops, found->satellite, false};
+    FetchResult result;
+    result.tier = FetchTier::kIslNeighbor;
+    result.rtt = (uplink + found->isl_latency) * 2.0 + space_overhead;
+    result.isl_hops = found->hops;
+    result.source_satellite = found->satellite;
     result.serving_satellite = serving;
     if (config_.record_paths) {
       if (const auto tree = network_->isl().sssp_from(serving);
@@ -248,8 +289,11 @@ std::optional<FetchResult> SpaceCdnRouter::attempt_from(std::uint32_t serving,
   const bool admit =
       config_.admit_on_fetch && !ec_mode && fleet_->cache_enabled(serving);
   if (admit) (void)fleet_->cache(serving).insert(item, now);
-  FetchResult result{FetchTier::kGround, served.first_byte, breakdown->isl_hops, 0,
-                     served.hit};
+  FetchResult result;
+  result.tier = FetchTier::kGround;
+  result.rtt = served.first_byte;
+  result.isl_hops = breakdown->isl_hops;
+  result.ground_cache_hit = served.hit;
   result.serving_satellite = serving;
   result.gateway = breakdown->gateway;
   if (config_.record_paths) {
@@ -311,28 +355,32 @@ std::optional<LookupResult> SpaceCdnRouter::map_lookup(std::uint32_t serving,
   return LookupResult{bound.sat, bound.hops, bound.latency};
 }
 
-std::optional<std::uint32_t> SpaceCdnRouter::healthy_serving_satellite(
+std::optional<SpaceCdnRouter::Candidate> SpaceCdnRouter::healthy_serving_satellite(
     const geo::GeoPoint& client, std::optional<std::uint32_t> exclude) const {
-  const auto& snapshot = network_->snapshot();
-  const auto visible = snapshot.visible_satellites(
-      client, network_->config().user_min_elevation_deg);
-  std::optional<std::uint32_t> best_preferred;
-  std::optional<std::uint32_t> best_any;
-  double best_preferred_range = 0.0;
-  double best_any_range = 0.0;
-  for (const std::uint32_t sat : visible) {
-    if (!fleet_->online(sat)) continue;
-    if (exclude && sat == *exclude) continue;
-    // At a single-altitude shell, minimum slant range == maximum elevation.
-    const double range = snapshot.slant_range(client, sat).value();
-    if (!best_any || range < best_any_range) {
-      best_any = sat;
-      best_any_range = range;
+  ClientGeometry& geometry = client_geometry(client);
+  if (geometry.visible_begin == ClientGeometry::kUnknown) {
+    const auto& snapshot = network_->snapshot();
+    const auto visible = snapshot.visible_satellites(
+        client, network_->config().user_min_elevation_deg);
+    geometry.visible_begin = static_cast<std::uint32_t>(visible_.size());
+    geometry.visible_count = static_cast<std::uint32_t>(visible.size());
+    for (const std::uint32_t sat : visible) {
+      visible_.push_back({sat, snapshot.slant_range(client, sat)});
     }
-    if (serving_filter_ && !serving_filter_(sat)) continue;
-    if (!best_preferred || range < best_preferred_range) {
-      best_preferred = sat;
-      best_preferred_range = range;
+  }
+  std::optional<Candidate> best_preferred;
+  std::optional<Candidate> best_any;
+  const std::uint32_t end = geometry.visible_begin + geometry.visible_count;
+  for (std::uint32_t i = geometry.visible_begin; i < end; ++i) {
+    const Candidate candidate = visible_[i];
+    if (!fleet_->online(candidate.satellite)) continue;
+    if (exclude && candidate.satellite == *exclude) continue;
+    // At a single-altitude shell, minimum slant range == maximum elevation.
+    const double range = candidate.range.value();
+    if (!best_any || range < best_any->range.value()) best_any = candidate;
+    if (serving_filter_ && !serving_filter_(candidate.satellite)) continue;
+    if (!best_preferred || range < best_preferred->range.value()) {
+      best_preferred = candidate;
     }
   }
   // When the filter vetoes every visible satellite, the best vetoed one
@@ -458,7 +506,8 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
     if (trace) {
       const std::uint32_t sel = trace->open("serving-selection", attempt_span);
       trace->set_start(sel, Milliseconds{waited});
-      trace->attr(sel, "satellite", serving ? std::to_string(*serving) : "none");
+      trace->attr(sel, "satellite",
+                  serving ? std::to_string(serving->satellite) : "none");
     }
     std::optional<FetchResult> served;
     if (serving) {
@@ -488,7 +537,7 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
       if (rc.hedge_delay.value() > 0.0 && served->rtt > rc.hedge_delay) {
         out.hedged = true;
         hedge_issued.inc();
-        const auto second = healthy_serving_satellite(client, serving);
+        const auto second = healthy_serving_satellite(client, serving->satellite);
         std::optional<FetchResult> hedge;
         if (second) {
           hedge = attempt_from(*second, client, country, item, rng, now,

@@ -12,6 +12,7 @@
 #include <functional>
 #include <optional>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "cdn/deployment.hpp"
@@ -209,11 +210,53 @@ class SpaceCdnRouter {
   void set_breaker_listener(BreakerListener listener);
 
  private:
+  /// A satellite visible from a client and its slant range from that client.
+  struct Candidate {
+    std::uint32_t satellite = 0;
+    Kilometers range{0.0};
+  };
+
+  /// What the router knows of one client's sky for one ephemeris snapshot,
+  /// filled lazily: fetch's serving choice on the first fetch, the visible
+  /// list on the first resilient fetch.  Kept to 24 bytes: a run with
+  /// hundreds of thousands of terminals holds one entry per client.
+  struct ClientGeometry {
+    static constexpr std::uint32_t kUnknown = 0xffffffffU;
+    static constexpr std::uint32_t kUncovered = 0xfffffffeU;
+    Kilometers serving_range{0.0};
+    std::uint32_t serving = kUnknown;        ///< or kUncovered
+    std::uint32_t visible_begin = kUnknown;  ///< into visible_
+    std::uint32_t visible_count = 0;
+  };
+
+  /// A client's position by the bit patterns of its coordinates, so -0.0
+  /// and 0.0 (equal under GeoPoint's operator==) stay distinct keys.
+  struct ClientKey {
+    std::uint64_t lat = 0;
+    std::uint64_t lon = 0;
+    std::uint64_t alt = 0;
+    bool operator==(const ClientKey&) const = default;
+  };
+  struct ClientKeyHash {
+    std::size_t operator()(const ClientKey& key) const noexcept;
+  };
+
+  /// The memo entry of `client` for the current snapshot; the whole memo is
+  /// dropped first when the snapshot epoch has moved since the last call.
+  [[nodiscard]] ClientGeometry& client_geometry(const geo::GeoPoint& client) const;
+
+  /// The highest-elevation satellite above `client` and its slant range
+  /// (EphemerisSnapshot::serving_satellite, memoised); nullopt in a
+  /// coverage gap.
+  [[nodiscard]] std::optional<Candidate> serving_satellite(
+      const geo::GeoPoint& client) const;
+
   /// The highest satellite above `client` that is online (fault-aware
   /// variant of EphemerisSnapshot::serving_satellite), skipping `exclude`
   /// (hedged requests need a second opinion) and preferring satellites the
-  /// serving filter accepts.
-  [[nodiscard]] std::optional<std::uint32_t> healthy_serving_satellite(
+  /// serving filter accepts.  The visible list is memoised per snapshot;
+  /// liveness, the filter and `exclude` are checked on every call.
+  [[nodiscard]] std::optional<Candidate> healthy_serving_satellite(
       const geo::GeoPoint& client,
       std::optional<std::uint32_t> exclude = std::nullopt) const;
 
@@ -230,10 +273,11 @@ class SpaceCdnRouter {
   /// Points one breaker's transition hook at breaker_listener_.
   void wire_breaker(std::size_t gateway) const;
 
-  /// One fault-aware attempt across the three tiers from `serving`.  When a
-  /// tracer is installed, tier spans are appended to `trace` under
-  /// `parent_span` (pass nullptr to skip tracing).
-  [[nodiscard]] std::optional<FetchResult> attempt_from(std::uint32_t serving,
+  /// One fault-aware attempt across the three tiers from `serving`, whose
+  /// slant range prices the uplink.  When a tracer is installed, tier spans
+  /// are appended to `trace` under `parent_span` (pass nullptr to skip
+  /// tracing).
+  [[nodiscard]] std::optional<FetchResult> attempt_from(Candidate serving,
                                                         const geo::GeoPoint& client,
                                                         const data::CountryInfo& country,
                                                         const cdn::ContentItem& item,
@@ -264,6 +308,14 @@ class SpaceCdnRouter {
   mutable std::vector<CircuitBreaker> gateway_breakers_;
   BreakerListener breaker_listener_;
   std::vector<std::optional<GroundSite>> ground_sites_;  ///< per PoP index
+  /// Per-client sky geometry, valid for snapshot epoch geometry_epoch_ only
+  /// (epochs are process-globally monotonic, so no ABA).  Visible lists of
+  /// all clients share one pool, in ascending satellite id per client.  Not
+  /// synchronised: like the breakers, it belongs to the one thread that
+  /// drives this router (every fetch mutates the fleet's caches anyway).
+  mutable std::uint64_t geometry_epoch_ = 0;
+  mutable std::unordered_map<ClientKey, ClientGeometry, ClientKeyHash> geometry_;
+  mutable std::vector<Candidate> visible_;
 };
 
 }  // namespace spacecdn::space

@@ -2,8 +2,11 @@
 // distributions, statistics containers.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "des/random.hpp"
@@ -452,6 +455,63 @@ TEST(SampleSet, AddAllInvalidatesCache) {
   EXPECT_DOUBLE_EQ(s.median(), 5.0);
   s.add(100.0);
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 100.0);
+}
+
+/// Every query of `s` against a set built from its raw samples, which sorts
+/// them all at once.
+void expect_matches_full_sort(const SampleSet& s, Rng& rng, const std::string& where) {
+  const SampleSet full(s.raw());
+  for (int k = 0; k < 4; ++k) {
+    const double q = k == 0 ? 0.99 : rng.uniform(0.0, 1.0);
+    EXPECT_EQ(s.quantile(q), full.quantile(q)) << where << " q=" << q;
+  }
+  EXPECT_EQ(s.min(), full.min()) << where;
+  EXPECT_EQ(s.max(), full.max()) << where;
+  const double threshold = std::round(rng.uniform(0.0, 60.0));  // often a sample
+  EXPECT_EQ(s.fraction_below(threshold), full.fraction_below(threshold)) << where;
+  const auto got = s.cdf(7);
+  const auto want = full.cdf(7);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].value, want[i].value) << where << " cdf point " << i;
+  }
+}
+
+TEST(SampleSet, IncrementalSortMatchesFullSort) {
+  // A seeded stream of appends and queries over two sets, one sometimes
+  // replaced by a copy of the other mid-stream.  Values are rounded to
+  // integers so duplicates are common.
+  Rng rng(mix_seed(41, 0));
+  std::array<SampleSet, 2> sets;
+  sets[0].add(rng.uniform(0.0, 50.0));
+  sets[1].add(rng.uniform(0.0, 50.0));
+  for (int step = 0; step < 600; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    SampleSet& s = sets[rng.uniform_int(0, 1)];
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        s.add(std::round(rng.uniform(0.0, 50.0)));
+        break;
+      case 1: {
+        std::vector<double> xs(rng.uniform_int(0, 40));
+        for (double& x : xs) {
+          x = rng.chance(0.5) ? std::round(rng.uniform(0.0, 50.0))
+                              : rng.uniform(0.0, 60.0);
+        }
+        s.add_all(xs);
+        break;
+      }
+      case 2: {
+        const std::size_t from = rng.uniform_int(0, 1);
+        sets[1 - from] = SampleSet(sets[from]);
+        expect_matches_full_sort(sets[1 - from], rng, where + " copy");
+        break;
+      }
+      default:
+        expect_matches_full_sort(s, rng, where);
+        break;
+    }
+  }
+  for (const SampleSet& s : sets) expect_matches_full_sort(s, rng, "end");
 }
 
 TEST(Histogram, RenderSketchesBars) {

@@ -1,6 +1,6 @@
-// Tests for the section-5 extension systems: ground-track prediction,
-// handover tracking, thermal duty-cycle scheduling, Space VMs, geo-blocking
-// exposure, and multi-tenant (MetaCDN) caches.
+// Tests for the section-5 extension systems: handover tracking, thermal
+// duty-cycle scheduling, Space VMs, geo-blocking exposure, and multi-tenant
+// (MetaCDN) caches.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -10,7 +10,6 @@
 #include "data/datasets.hpp"
 #include "lsn/handover.hpp"
 #include "measurement/geoblocking.hpp"
-#include "orbit/ground_track.hpp"
 #include "spacecdn/space_vm.hpp"
 #include "spacecdn/thermal.hpp"
 #include "util/error.hpp"
@@ -21,77 +20,6 @@ namespace {
 const orbit::WalkerConstellation& shell1() {
   static const orbit::WalkerConstellation shell(orbit::starlink_shell1());
   return shell;
-}
-
-// ------------------------------------------------------------- ground track
-
-TEST(GroundTrack, PassesAreOrderedAndWithinWindow) {
-  const orbit::GroundTrackPredictor predictor(shell1());
-  const geo::GeoPoint berlin{52.52, 13.40, 0.0};
-  const Milliseconds end = Milliseconds::from_minutes(120.0);
-  const auto passes = predictor.passes(7, berlin, 25.0, Milliseconds{0.0}, end);
-  for (std::size_t i = 0; i < passes.size(); ++i) {
-    EXPECT_LT(passes[i].rise.value(), passes[i].set.value());
-    EXPECT_GE(passes[i].rise.value(), 0.0);
-    EXPECT_LE(passes[i].set.value(), end.value());
-    EXPECT_GE(passes[i].max_elevation_deg, 25.0);
-    if (i > 0) EXPECT_GT(passes[i].rise.value(), passes[i - 1].set.value());
-  }
-}
-
-TEST(GroundTrack, DwellIsMinutesNotHours) {
-  // Paper section 2: satellites leave the line of sight within 5-10 minutes.
-  const orbit::GroundTrackPredictor predictor(shell1());
-  const geo::GeoPoint madrid{40.42, -3.70, 0.0};
-  const auto stats = predictor.statistics(11, madrid, 25.0, Milliseconds{0.0},
-                                          Milliseconds::from_minutes(200.0));
-  if (stats.pass_count > 0) {
-    EXPECT_LT(stats.mean_duration.value(), Milliseconds::from_minutes(10.0).value());
-    EXPECT_GT(stats.mean_duration.value(), Milliseconds::from_seconds(20.0).value());
-  }
-}
-
-TEST(GroundTrack, RevisitRoughlyOrbitalPeriod) {
-  // "Satellites in LSN orbits revisit a location roughly every 90 minutes"
-  // (section 4); Earth rotation shifts the track, so allow slack and only
-  // require that *some* satellite shows a revisit near one period.
-  // At mid latitudes the ~24-degree westward track shift per orbit stays
-  // within the 10-degree-mask footprint, so the same satellite returns one
-  // period later (95-102 minutes empirically for Shell 1).
-  const orbit::GroundTrackPredictor predictor(shell1());
-  const geo::GeoPoint madrid{40.42, -3.70, 0.0};
-  const double period_min = shell1().orbit(0).period().value() / 60000.0;
-  bool found_revisit = false;
-  for (std::uint32_t sat = 0; sat < 160 && !found_revisit; sat += 13) {
-    const auto passes = predictor.passes(sat, madrid, 10.0, Milliseconds{0.0},
-                                         Milliseconds::from_minutes(3.0 * period_min));
-    for (std::size_t i = 1; i < passes.size(); ++i) {
-      const double gap_min = (passes[i].rise - passes[i - 1].rise).value() / 60000.0;
-      if (gap_min > 0.9 * period_min && gap_min < 1.2 * period_min) {
-        found_revisit = true;
-        break;
-      }
-    }
-  }
-  EXPECT_TRUE(found_revisit);
-}
-
-TEST(GroundTrack, NextRiseAfterCurrentPass) {
-  const orbit::GroundTrackPredictor predictor(shell1());
-  const geo::GeoPoint tokyo{35.68, 139.69, 0.0};
-  const auto next = predictor.next_rise(3, tokyo, 10.0, Milliseconds{0.0},
-                                        Milliseconds::from_minutes(300.0));
-  if (next) {
-    EXPECT_GT(next->value(), 0.0);
-    // At the reported rise time (within tolerance) the satellite is near the
-    // mask.
-    const auto pos = shell1().orbit(3).position_ecef(*next + Milliseconds{200.0});
-    EXPECT_GT(geo::elevation_angle_deg(tokyo, pos), 8.0);
-  }
-}
-
-TEST(GroundTrack, RejectsBadConfig) {
-  EXPECT_THROW(orbit::GroundTrackPredictor(shell1(), Milliseconds{0.0}), ConfigError);
 }
 
 // ---------------------------------------------------------------- handover

@@ -1,8 +1,9 @@
 // Differential tests for the per-snapshot routing memos: BentPipeRouter's
 // (serving satellite, PoP) legs, IslNetwork's BFS hop rings, and
-// SpaceCdnRouter's ground site per PoP.  Each memoised answer must equal the
-// from-scratch computation bit for bit, across gateway flips, satellite
-// fail/recover and ephemeris advances, and under concurrent queries.
+// SpaceCdnRouter's ground site per PoP and serving geometry per client.
+// Each memoised answer must equal the from-scratch computation bit for bit,
+// across gateway flips, satellite fail/recover and ephemeris advances, and
+// under concurrent queries.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -258,6 +259,128 @@ TEST(RouteMemo, GroundTierUsesTheNearestSiteOfThePop) {
     EXPECT_EQ(got->ground_cache_hit, want.hit) << "query " << q;
     EXPECT_EQ(got->rtt.value(), want.first_byte.value()) << "query " << q;
     EXPECT_TRUE(ground.cache(site).contains(item.id)) << "query " << q;
+  }
+}
+
+void expect_same_fetch(const std::optional<space::FetchResult>& got,
+                       const std::optional<space::FetchResult>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!got) return;
+  EXPECT_EQ(got->serving_satellite, want->serving_satellite) << where;
+  EXPECT_EQ(got->tier, want->tier) << where;
+  EXPECT_EQ(got->rtt.value(), want->rtt.value()) << where;
+  EXPECT_EQ(got->isl_path, want->isl_path) << where;
+}
+
+/// A fleet and ground CDN per router, so the long-lived and the fresh router
+/// see identical caches while each runs the same fetches.
+struct CdnState {
+  space::SatelliteFleet fleet;
+  cdn::CdnDeployment ground;
+  explicit CdnState(std::uint32_t satellites)
+      : fleet(satellites, space::FleetConfig{Megabytes{20.0}}),
+        ground(data::cdn_sites(), cdn::DeploymentConfig{}) {}
+};
+
+TEST(RouteMemo, ClientGeometryMatchesFreshRouter) {
+  // A long-lived router's per-client geometry memo against a router built
+  // fresh for every query, for fetch and fetch_resilient.  Clients repeat so
+  // the memo is hit; between repeats the ephemeris advances, the serving
+  // satellite fails or recovers, or a serving filter vetoes it.  A 1 ms
+  // hedge delay makes every served resilient fetch hedge, so the chooser is
+  // also asked with an `exclude`.
+  for (std::size_t p = 0; p < kPresets.size(); ++p) {
+    const char* preset = kPresets[p];
+    lsn::StarlinkNetwork net(lsn::starlink_preset(preset));
+    const std::uint32_t satellites = net.constellation().size();
+    CdnState kept_state(satellites);
+    CdnState fresh_state(satellites);
+    space::RouterConfig config;
+    config.record_paths = true;
+    config.resilience.hedge_delay = Milliseconds{1.0};
+    space::SpaceCdnRouter kept(net, kept_state.fleet, kept_state.ground, config);
+
+    des::Rng rng(des::mix_seed(37, p));
+    std::array<geo::GeoPoint, 4> clients{};
+    for (auto& client : clients) client = random_client(rng);
+    // Equal under GeoPoint's operator==, yet two memo keys.
+    clients[2] = {0.0, clients[2].lon_deg, 0.0};
+    clients[3] = {-0.0, clients[2].lon_deg, 0.0};
+    const data::CountryInfo& country = random_country(rng);
+    std::vector<cdn::ContentItem> items;
+    for (cdn::ContentId id = 0; id < 6; ++id) {
+      items.push_back({id, Megabytes{1.0}, data::Region::kEurope});
+    }
+    // Seed replicas near the clients so tiers (i) and (ii) serve too.
+    for (const auto& client : clients) {
+      if (const auto sat = net.snapshot().serving_satellite(client, 25.0)) {
+        for (CdnState* state : {&kept_state, &fresh_state}) {
+          (void)state->fleet.cache(*sat).insert(items[0], Milliseconds{0.0});
+          (void)state->fleet.cache((*sat + 1) % satellites)
+              .insert(items[1], Milliseconds{0.0});
+        }
+      }
+    }
+
+    std::vector<std::uint32_t> offline;
+    std::optional<std::uint32_t> vetoed;
+    for (int q = 0; q < 40; ++q) {
+      const std::string where = std::string(preset) + " query " + std::to_string(q);
+      const geo::GeoPoint& client = clients[rng.uniform_int(0, clients.size() - 1)];
+      const cdn::ContentItem& item = items[rng.uniform_int(0, items.size() - 1)];
+      const Milliseconds now{static_cast<double>(q)};
+
+      space::SpaceCdnRouter fresh(net, fresh_state.fleet, fresh_state.ground, config);
+      if (vetoed) {
+        const auto filter = [v = *vetoed](std::uint32_t sat) { return sat != v; };
+        kept.set_serving_filter(filter);
+        fresh.set_serving_filter(filter);
+      } else {
+        kept.set_serving_filter({});
+      }
+      des::Rng kept_rng = rng;
+      des::Rng fresh_rng = rng;
+      expect_same_fetch(kept.fetch(client, country, item, kept_rng, now),
+                        fresh.fetch(client, country, item, fresh_rng, now),
+                        where + " fetch");
+      const auto got = kept.fetch_resilient(client, country, item, kept_rng, now);
+      const auto want = fresh.fetch_resilient(client, country, item, fresh_rng, now);
+      ASSERT_EQ(got.success, want.success) << where;
+      EXPECT_EQ(got.hedged, want.hedged) << where;
+      EXPECT_EQ(got.hedge_won, want.hedge_won) << where;
+      EXPECT_EQ(got.total_latency.value(), want.total_latency.value()) << where;
+      expect_same_fetch(got.served, want.served, where + " resilient");
+      rng = kept_rng;
+
+      // Change what the memo must not hide, around the satellite serving now.
+      const std::optional<std::uint32_t> serving =
+          got.served ? std::optional{got.served->serving_satellite} : std::nullopt;
+      switch (rng.uniform_int(0, 3)) {
+        case 0:
+          net.set_time(net.time() + Milliseconds::from_seconds(30.0));
+          break;
+        case 1:
+          if (serving) {
+            net.fail_satellite(*serving);
+            kept_state.fleet.set_online(*serving, false);
+            fresh_state.fleet.set_online(*serving, false);
+            offline.push_back(*serving);
+          }
+          break;
+        case 2:
+          if (!offline.empty()) {
+            net.recover_satellite(offline.back());
+            kept_state.fleet.set_online(offline.back(), true);
+            fresh_state.fleet.set_online(offline.back(), true);
+            offline.pop_back();
+          }
+          break;
+        default:
+          vetoed = vetoed ? std::nullopt : serving;
+          break;
+      }
+    }
   }
 }
 
