@@ -1,5 +1,8 @@
 #include "cdn/cache.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
@@ -58,29 +61,36 @@ void Cache::note_reject_oversized() {
   if (telemetry_) telemetry_->reject_oversized.inc();
 }
 
-// ---------------------------------------------------------------- LruCache
+// ----------------------------------------------------------- SlotListCache
 
-LruCache::LruCache(Megabytes capacity) : Cache(capacity) {}
+namespace {
 
-bool LruCache::access(ContentId id, Milliseconds /*now*/) {
+constexpr std::size_t kInitialIndexSize = 16;
+
+}  // namespace
+
+SlotListCache::SlotListCache(Megabytes capacity, bool refresh_on_use)
+    : Cache(capacity), refresh_on_use_(refresh_on_use) {}
+
+bool SlotListCache::access(ContentId id, Milliseconds /*now*/) {
   SPACECDN_PROFILE("Cache::access");
-  const auto it = index_.find(id);
-  if (it == index_.end()) {
+  const std::uint32_t pos = find_pos(id);
+  if (pos == kNone) {
     note_miss();
     return false;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);  // move to front
+  if (refresh_on_use_) move_to_front(index_[pos]);
   note_hit();
   return true;
 }
 
-bool LruCache::contains(ContentId id) const { return index_.count(id) != 0; }
+bool SlotListCache::contains(ContentId id) const { return find_pos(id) != kNone; }
 
-bool LruCache::insert(const ContentItem& item, Milliseconds /*now*/) {
-  if (const auto it = index_.find(item.id); it != index_.end()) {
-    // Re-storing an object counts as a use: refresh its recency so a warm
-    // re-insert (e.g. a bubble refresh) protects it from eviction.
-    lru_.splice(lru_.begin(), lru_, it->second);
+bool SlotListCache::insert(const ContentItem& item, Milliseconds /*now*/) {
+  if (const std::uint32_t pos = find_pos(item.id); pos != kNone) {
+    // Under LRU, re-storing an object counts as a use: refresh its recency
+    // so a warm re-insert (e.g. a bubble refresh) protects it from eviction.
+    if (refresh_on_use_) move_to_front(index_[pos]);
     return true;
   }
   if (item.size > capacity_) {
@@ -88,36 +98,133 @@ bool LruCache::insert(const ContentItem& item, Milliseconds /*now*/) {
     return false;
   }
   while (used_ + item.size > capacity_) evict_one();
-  lru_.push_front(Entry{item.id, item.size});
-  index_[item.id] = lru_.begin();
+  if (2 * (static_cast<std::size_t>(count_) + 1) > index_.size()) grow_index();
+
+  std::uint32_t slot = free_;
+  if (slot != kNone) {
+    free_ = slots_[slot].next;
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  slots_[slot].id = item.id;
+  slots_[slot].size = item.size;
+  link_front(slot);
+  index_[free_pos(item.id)] = slot;
+  ++count_;
   used_ += item.size;
   note_insert();
   return true;
 }
 
-bool LruCache::erase(ContentId id) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  used_ -= it->second->size;
-  lru_.erase(it->second);
-  index_.erase(it);
+bool SlotListCache::erase(ContentId id) {
+  const std::uint32_t pos = find_pos(id);
+  if (pos == kNone) return false;
+  remove(pos);
   return true;
 }
 
-void LruCache::clear() {
-  lru_.clear();
-  index_.clear();
+void SlotListCache::clear() {
+  slots_.clear();
+  std::fill(index_.begin(), index_.end(), kNone);
+  free_ = head_ = tail_ = kNone;
+  count_ = 0;
   used_ = Megabytes{0.0};
 }
 
-std::uint64_t LruCache::object_count() const { return index_.size(); }
+std::uint32_t SlotListCache::home(ContentId id) const noexcept {
+  // Fibonacci hashing: catalog ids are dense small integers, so a
+  // multiplicative mix spreads them and the top bits pick the position.
+  return static_cast<std::uint32_t>((id * 0x9E3779B97F4A7C15ULL) >> index_shift_);
+}
 
-void LruCache::evict_one() {
-  SPACECDN_EXPECT(!lru_.empty(), "evicting from an empty cache");
-  const Entry& victim = lru_.back();
-  used_ -= victim.size;
-  index_.erase(victim.id);
-  lru_.pop_back();
+std::uint32_t SlotListCache::find_pos(ContentId id) const noexcept {
+  if (index_.empty()) return kNone;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t pos = home(id);; pos = (pos + 1) & mask) {
+    const std::uint32_t slot = index_[pos];
+    if (slot == kNone) return kNone;
+    if (slots_[slot].id == id) return static_cast<std::uint32_t>(pos);
+  }
+}
+
+std::uint32_t SlotListCache::free_pos(ContentId id) const noexcept {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t pos = home(id);
+  while (index_[pos] != kNone) pos = (pos + 1) & mask;
+  return static_cast<std::uint32_t>(pos);
+}
+
+void SlotListCache::grow_index() {
+  const std::size_t size = index_.empty() ? kInitialIndexSize : 2 * index_.size();
+  index_.assign(size, kNone);
+  index_shift_ = 64 - std::countr_zero(size);
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].prev != kFree) index_[free_pos(slots_[slot].id)] = slot;
+  }
+}
+
+void SlotListCache::remove(std::uint32_t pos) {
+  const std::uint32_t slot = index_[pos];
+  used_ -= slots_[slot].size;
+  unlink(slot);
+  slots_[slot].prev = kFree;
+  slots_[slot].next = free_;
+  free_ = slot;
+  --count_;
+
+  // Backward-shift deletion: walk the probe chain after the hole and move
+  // back every entry whose probe path crosses the hole, so lookups never
+  // stop early at a gap (no tombstones needed).
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = pos;
+  for (std::size_t next = (hole + 1) & mask; index_[next] != kNone;
+       next = (next + 1) & mask) {
+    const std::size_t want = home(slots_[index_[next]].id);
+    if (((next - want) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = kNone;
+}
+
+void SlotListCache::link_front(std::uint32_t slot) noexcept {
+  slots_[slot].prev = kNone;
+  slots_[slot].next = head_;
+  if (head_ != kNone) {
+    slots_[head_].prev = slot;
+  } else {
+    tail_ = slot;
+  }
+  head_ = slot;
+}
+
+void SlotListCache::unlink(std::uint32_t slot) noexcept {
+  const Slot& s = slots_[slot];
+  if (s.prev != kNone) {
+    slots_[s.prev].next = s.next;
+  } else {
+    head_ = s.next;
+  }
+  if (s.next != kNone) {
+    slots_[s.next].prev = s.prev;
+  } else {
+    tail_ = s.prev;
+  }
+}
+
+void SlotListCache::move_to_front(std::uint32_t slot) noexcept {
+  if (slot == head_) return;
+  unlink(slot);
+  link_front(slot);
+}
+
+void SlotListCache::evict_one() {
+  SPACECDN_EXPECT(tail_ != kNone, "evicting from an empty cache");
+  const std::uint32_t pos = find_pos(slots_[tail_].id);
+  SPACECDN_EXPECT(pos != kNone, "cache recency list and index disagree");
+  remove(pos);
   note_evict();
 }
 
@@ -195,111 +302,6 @@ void LfuCache::evict_one() {
   if (lowest.empty()) buckets_.erase(buckets_.begin());
   note_evict();
 }
-
-// --------------------------------------------------------------- FifoCache
-
-FifoCache::FifoCache(Megabytes capacity) : Cache(capacity) {}
-
-bool FifoCache::access(ContentId id, Milliseconds /*now*/) {
-  SPACECDN_PROFILE("Cache::access");
-  if (index_.find(id) == index_.end()) {
-    note_miss();
-    return false;
-  }
-  note_hit();
-  return true;
-}
-
-bool FifoCache::contains(ContentId id) const { return index_.count(id) != 0; }
-
-bool FifoCache::insert(const ContentItem& item, Milliseconds /*now*/) {
-  if (index_.count(item.id) != 0) return true;
-  if (item.size > capacity_) {
-    note_reject_oversized();
-    return false;
-  }
-  while (used_ + item.size > capacity_) evict_one();
-  fifo_.push_back(Entry{item.id, item.size});
-  index_[item.id] = std::prev(fifo_.end());
-  used_ += item.size;
-  note_insert();
-  return true;
-}
-
-bool FifoCache::erase(ContentId id) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  used_ -= it->second->size;
-  fifo_.erase(it->second);
-  index_.erase(it);
-  return true;
-}
-
-void FifoCache::clear() {
-  fifo_.clear();
-  index_.clear();
-  used_ = Megabytes{0.0};
-}
-
-std::uint64_t FifoCache::object_count() const { return index_.size(); }
-
-void FifoCache::evict_one() {
-  SPACECDN_EXPECT(!fifo_.empty(), "evicting from an empty cache");
-  const Entry& victim = fifo_.front();
-  used_ -= victim.size;
-  index_.erase(victim.id);
-  fifo_.pop_front();
-  note_evict();
-}
-
-// ---------------------------------------------------------------- TtlCache
-
-TtlCache::TtlCache(std::unique_ptr<Cache> inner, Milliseconds ttl)
-    : Cache(inner->capacity()), inner_(std::move(inner)), ttl_(ttl) {
-  SPACECDN_EXPECT(ttl.value() > 0.0, "TTL must be positive");
-}
-
-bool TtlCache::access(ContentId id, Milliseconds now) {
-  const auto it = inserted_at_.find(id);
-  if (it != inserted_at_.end() && now - it->second > ttl_) {
-    inner_->erase(id);
-    inserted_at_.erase(it);
-    note_miss();
-    return false;
-  }
-  const bool hit = inner_->access(id, now);
-  hit ? note_hit() : note_miss();
-  return hit;
-}
-
-bool TtlCache::contains(ContentId id) const { return inner_->contains(id); }
-
-bool TtlCache::insert(const ContentItem& item, Milliseconds now) {
-  // Check before delegating so the decorator's own stats record the
-  // rejection; the inner cache never sees the doomed offer.
-  if (item.size > capacity_) {
-    note_reject_oversized();
-    return false;
-  }
-  if (!inner_->insert(item, now)) return false;
-  inserted_at_[item.id] = now;
-  note_insert();
-  // Entries the inner cache evicted are lazily dropped from inserted_at_ on
-  // their next access; the map is advisory only.
-  return true;
-}
-
-bool TtlCache::erase(ContentId id) {
-  inserted_at_.erase(id);
-  return inner_->erase(id);
-}
-
-void TtlCache::clear() {
-  inner_->clear();
-  inserted_at_.clear();
-}
-
-std::uint64_t TtlCache::object_count() const { return inner_->object_count(); }
 
 // ----------------------------------------------------------------- factory
 

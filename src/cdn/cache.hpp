@@ -1,4 +1,4 @@
-// Cache policies: LRU, LFU, FIFO, and a TTL decorator.
+// Cache policies: LRU, LFU and FIFO.
 //
 // Both ground CDN edges and SpaceCDN satellite caches use these; the
 // content-bubble work (paper section 5) additionally needs region-aware
@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "cdn/content.hpp"
 #include "util/units.hpp"
@@ -35,14 +36,14 @@ struct CacheStats {
   }
 };
 
-/// Abstract capacity-bounded object cache.
-///
-/// Methods take the current simulation time so that time-aware policies
-/// (TTL) share the interface; time-oblivious policies ignore it.
 /// Per-instance cached counter handles (defined in cache.cpp); keeps the
 /// per-event cost at a pointer bump instead of a registry name lookup.
 struct CacheTelemetry;
 
+/// Abstract capacity-bounded object cache.
+///
+/// Methods take the current simulation time so that a time-aware policy
+/// could share the interface; the policies below ignore it.
 class Cache {
  public:
   explicit Cache(Megabytes capacity);
@@ -101,27 +102,71 @@ class Cache {
   std::unique_ptr<CacheTelemetry> telemetry_;
 };
 
-/// Least-recently-used eviction.  O(1) access and insert.
-class LruCache final : public Cache {
+/// Storage shared by the two recency-ordered policies (LRU and FIFO).
+///
+/// Objects live in one flat vector of slots threaded onto an intrusive
+/// doubly linked list by `uint32_t` indices (head = newest, tail = next
+/// victim); freed slots are chained onto a free list and reused.  An
+/// open-addressing table (linear probing, backward-shift deletion) maps a
+/// ContentId to its slot.  Insert and evict therefore allocate nothing once
+/// the vectors have grown, and a lookup is a short probe of one array.
+/// The policies differ only in whether a hit or a re-insert moves the
+/// object back to the head.
+class SlotListCache : public Cache {
  public:
-  explicit LruCache(Megabytes capacity);
+  [[nodiscard]] bool access(ContentId id, Milliseconds now) final;
+  [[nodiscard]] bool contains(ContentId id) const final;
+  bool insert(const ContentItem& item, Milliseconds now) final;
+  bool erase(ContentId id) final;
+  void clear() final;
+  [[nodiscard]] std::uint64_t object_count() const final { return count_; }
 
-  [[nodiscard]] bool access(ContentId id, Milliseconds now) override;
-  [[nodiscard]] bool contains(ContentId id) const override;
-  bool insert(const ContentItem& item, Milliseconds now) override;
-  bool erase(ContentId id) override;
-  void clear() override;
-  [[nodiscard]] std::uint64_t object_count() const override;
+ protected:
+  SlotListCache(Megabytes capacity, bool refresh_on_use);
 
  private:
-  struct Entry {
+  static constexpr std::uint32_t kNone = 0xffffffffU;
+  /// `prev` of a slot on the free list.
+  static constexpr std::uint32_t kFree = 0xfffffffeU;
+
+  struct Slot {
     ContentId id;
     Megabytes size;
+    std::uint32_t prev;  // towards the head; kNone at the head, kFree if free
+    std::uint32_t next;  // towards the tail; kNone at the tail (free list link)
   };
+
+  /// Preferred table position of `id`.
+  [[nodiscard]] std::uint32_t home(ContentId id) const noexcept;
+  /// Table position holding `id`, or kNone.
+  [[nodiscard]] std::uint32_t find_pos(ContentId id) const noexcept;
+  /// First empty table position on `id`'s probe path.
+  [[nodiscard]] std::uint32_t free_pos(ContentId id) const noexcept;
+  /// Doubles the table (or creates it) and re-indexes every live slot.
+  void grow_index();
+  /// Drops the object at table position `pos`: frees its slot, unlinks it
+  /// and closes the gap in the table.
+  void remove(std::uint32_t pos);
+  void link_front(std::uint32_t slot) noexcept;
+  void unlink(std::uint32_t slot) noexcept;
+  void move_to_front(std::uint32_t slot) noexcept;
   void evict_one();
 
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<ContentId, std::list<Entry>::iterator> index_;
+  bool refresh_on_use_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_ = kNone;
+  std::uint32_t head_ = kNone;
+  std::uint32_t tail_ = kNone;
+  std::uint32_t count_ = 0;
+  std::vector<std::uint32_t> index_;  // slot per position, kNone when empty
+  int index_shift_ = 64;              // 64 - log2(index_.size())
+};
+
+/// Least-recently-used eviction.  O(1) access and insert; a hit or a
+/// re-insert refreshes recency.
+class LruCache final : public SlotListCache {
+ public:
+  explicit LruCache(Megabytes capacity) : SlotListCache(capacity, true) {}
 };
 
 /// Least-frequently-used eviction with LRU tie-breaking (frequency buckets;
@@ -153,45 +198,9 @@ class LfuCache final : public Cache {
 };
 
 /// First-in first-out eviction (insertion order, no recency update).
-class FifoCache final : public Cache {
+class FifoCache final : public SlotListCache {
  public:
-  explicit FifoCache(Megabytes capacity);
-
-  [[nodiscard]] bool access(ContentId id, Milliseconds now) override;
-  [[nodiscard]] bool contains(ContentId id) const override;
-  bool insert(const ContentItem& item, Milliseconds now) override;
-  bool erase(ContentId id) override;
-  void clear() override;
-  [[nodiscard]] std::uint64_t object_count() const override;
-
- private:
-  struct Entry {
-    ContentId id;
-    Megabytes size;
-  };
-  void evict_one();
-
-  std::list<Entry> fifo_;  // front = oldest
-  std::unordered_map<ContentId, std::list<Entry>::iterator> index_;
-};
-
-/// Decorator adding a time-to-live to any inner cache: entries older than
-/// `ttl` count as misses and are erased on access.
-class TtlCache final : public Cache {
- public:
-  TtlCache(std::unique_ptr<Cache> inner, Milliseconds ttl);
-
-  [[nodiscard]] bool access(ContentId id, Milliseconds now) override;
-  [[nodiscard]] bool contains(ContentId id) const override;
-  bool insert(const ContentItem& item, Milliseconds now) override;
-  bool erase(ContentId id) override;
-  void clear() override;
-  [[nodiscard]] std::uint64_t object_count() const override;
-
- private:
-  std::unique_ptr<Cache> inner_;
-  Milliseconds ttl_;
-  std::unordered_map<ContentId, Milliseconds> inserted_at_;
+  explicit FifoCache(Megabytes capacity) : SlotListCache(capacity, false) {}
 };
 
 /// Eviction policy selector for factories.

@@ -61,13 +61,9 @@ LoadRunner::LoadRunner(lsn::StarlinkNetwork& network, space::SatelliteFleet& fle
     if (user_reject_hook_) user_reject_hook_(sat, active);
   });
   const auto& cities = traffic_.clients();
-  city_rng_.reserve(cities.size());
   city_country_.reserve(cities.size());
   city_location_.reserve(cities.size());
   for (const sim::Shell1Client& client : cities) {
-    // Streams key on the *dataset* index, so a coverage-filtered client set
-    // draws the same numbers as the unfiltered one (fig7's convention).
-    city_rng_.emplace_back(des::mix_seed(config_.seed, client.dataset_index));
     city_country_.push_back(&data::country(client.city->country_code));
     city_location_.push_back(sim::client_location(client));
   }
@@ -232,8 +228,22 @@ void LoadRunner::prepare() {
   if (slo_) slo_->install(sim_, config_.horizon);
   if (series_) series_->install(sim_, config_.horizon);
 
-  for (std::size_t i = 0; i < traffic_.clients().size(); ++i) {
-    schedule_next_arrival(i);
+  // Each client's stream is seeded in place at the back of client_rng_ and
+  // kept only if its first arrival lands inside the horizon.  The reserve
+  // is address space: only the slots actually written become resident.
+  const std::vector<sim::Shell1Client>& clients = traffic_.clients();
+  client_rng_.reserve(clients.size());
+  client_stream_.resize(clients.size());
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    // Streams key on the *dataset* index, so a coverage-filtered client set
+    // draws the same numbers as the unfiltered one (fig7's convention).
+    des::Rng& rng =
+        client_rng_.emplace_back(des::mix_seed(config_.seed, clients[i].dataset_index));
+    if (schedule_next_arrival(i, rng)) {
+      client_stream_[i] = static_cast<std::uint32_t>(client_rng_.size() - 1);
+    } else {
+      client_rng_.pop_back();
+    }
   }
 }
 
@@ -303,22 +313,22 @@ LoadReport LoadRunner::collect() {
   return report_;
 }
 
-void LoadRunner::schedule_next_arrival(std::size_t client_index) {
-  const Milliseconds gap =
-      traffic_.next_interarrival(client_index, sim_.now(), city_rng_[client_index]);
-  if (sim_.now() + gap >= config_.horizon) return;  // open loop ends at horizon
+bool LoadRunner::schedule_next_arrival(std::size_t client_index, des::Rng& rng) {
+  const Milliseconds gap = traffic_.next_interarrival(client_index, sim_.now(), rng);
+  if (sim_.now() + gap >= config_.horizon) return false;  // open loop ends at horizon
   sim_.schedule(gap, [this, client_index] { handle_arrival(client_index); });
+  return true;
 }
 
 void LoadRunner::handle_arrival(std::size_t client_index) {
   // Open loop: the next arrival is scheduled before this one is served, so
   // a congested system keeps receiving offered load (no coordinated
   // omission).
-  schedule_next_arrival(client_index);
+  des::Rng& rng = client_rng_[client_stream_[client_index]];
+  schedule_next_arrival(client_index, rng);
   ++report_.offered;
   if (series_) ++window_.offered;
 
-  des::Rng& rng = city_rng_[client_index];
   const data::CountryInfo& country = *city_country_[client_index];
   const cdn::ContentItem& item = traffic_.sample_object(country, rng);
   const Milliseconds arrival = sim_.now();

@@ -2,7 +2,6 @@
 // deployment.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 
 #include "cdn/cache.hpp"
@@ -217,29 +216,6 @@ TEST(FifoCache, EvictsInInsertionOrder) {
   (void)cache.insert(item(4, 2.0), kNow);
   EXPECT_FALSE(cache.contains(1));
   EXPECT_TRUE(cache.contains(2));
-}
-
-TEST(TtlCache, RejectsAndCountsOversizedBeforeDelegating) {
-  TtlCache cache(std::make_unique<LruCache>(Megabytes{10.0}), Milliseconds{100.0});
-  EXPECT_FALSE(cache.insert(item(1, 11.0), kNow));
-  EXPECT_EQ(cache.stats().rejected_oversized, 1u);
-  EXPECT_EQ(cache.stats().insertions, 0u);
-  EXPECT_EQ(cache.object_count(), 0u);
-}
-
-TEST(TtlCache, ExpiresEntries) {
-  TtlCache cache(std::make_unique<LruCache>(Megabytes{10.0}), Milliseconds{100.0});
-  (void)cache.insert(item(1, 2.0), Milliseconds{0.0});
-  EXPECT_TRUE(cache.access(1, Milliseconds{50.0}));
-  EXPECT_FALSE(cache.access(1, Milliseconds{200.0}));  // expired
-  EXPECT_FALSE(cache.contains(1));                     // erased on expiry
-}
-
-TEST(TtlCache, ReinsertResetsClock) {
-  TtlCache cache(std::make_unique<LruCache>(Megabytes{10.0}), Milliseconds{100.0});
-  (void)cache.insert(item(1, 2.0), Milliseconds{0.0});
-  (void)cache.insert(item(1, 2.0), Milliseconds{90.0});
-  EXPECT_TRUE(cache.access(1, Milliseconds{150.0}));
 }
 
 TEST(CacheFactory, MakesEachPolicy) {

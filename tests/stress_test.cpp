@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <list>
-#include <map>
+#include <set>
 #include <vector>
 
 #include "cdn/cache.hpp"
@@ -16,79 +16,164 @@
 namespace spacecdn {
 namespace {
 
-// A deliberately naive LRU used as the oracle for the production LruCache.
-class ReferenceLru {
+// A deliberately naive recency-ordered cache: a std::list searched
+// linearly, counting stats the way the production caches count them.  With
+// `refresh_on_use` a hit or a re-insert moves the object to the front (LRU);
+// without it the list stays in insertion order (FIFO).
+class ReferenceCache {
  public:
-  explicit ReferenceLru(double capacity_mb) : capacity_(capacity_mb) {}
+  ReferenceCache(double capacity_mb, bool refresh_on_use)
+      : capacity_(capacity_mb), refresh_on_use_(refresh_on_use) {}
 
   bool access(cdn::ContentId id) {
-    const auto it = std::find_if(items_.begin(), items_.end(),
-                                 [&](const auto& e) { return e.first == id; });
-    if (it == items_.end()) return false;
-    items_.splice(items_.begin(), items_, it);
+    const auto it = find(id);
+    if (it == items_.end()) {
+      ++stats_.misses;
+      return false;
+    }
+    if (refresh_on_use_) items_.splice(items_.begin(), items_, it);
+    ++stats_.hits;
     return true;
   }
 
   bool insert(cdn::ContentId id, double mb) {
-    if (access(id)) return true;
-    if (mb > capacity_) return false;
+    if (const auto it = find(id); it != items_.end()) {
+      if (refresh_on_use_) items_.splice(items_.begin(), items_, it);
+      return true;
+    }
+    if (mb > capacity_) {
+      ++stats_.rejected_oversized;
+      return false;
+    }
     while (used_ + mb > capacity_) {
       used_ -= items_.back().second;
       items_.pop_back();
+      ++stats_.evictions;
     }
     items_.emplace_front(id, mb);
     used_ += mb;
+    ++stats_.insertions;
     return true;
   }
 
   bool erase(cdn::ContentId id) {
-    const auto it = std::find_if(items_.begin(), items_.end(),
-                                 [&](const auto& e) { return e.first == id; });
+    const auto it = find(id);
     if (it == items_.end()) return false;
     used_ -= it->second;
     items_.erase(it);
     return true;
   }
 
-  [[nodiscard]] bool contains(cdn::ContentId id) const {
-    return std::any_of(items_.begin(), items_.end(),
-                       [&](const auto& e) { return e.first == id; });
+  void clear() {
+    items_.clear();
+    used_ = 0.0;
+  }
+
+  [[nodiscard]] std::set<cdn::ContentId> ids() const {
+    std::set<cdn::ContentId> out;
+    for (const auto& e : items_) out.insert(e.first);
+    return out;
   }
   [[nodiscard]] std::size_t size() const { return items_.size(); }
   [[nodiscard]] double used() const { return used_; }
+  [[nodiscard]] const cdn::CacheStats& stats() const { return stats_; }
 
  private:
+  std::list<std::pair<cdn::ContentId, double>>::iterator find(cdn::ContentId id) {
+    return std::find_if(items_.begin(), items_.end(),
+                        [&](const auto& e) { return e.first == id; });
+  }
+
   double capacity_;
+  bool refresh_on_use_;
   double used_ = 0.0;
-  std::list<std::pair<cdn::ContentId, double>> items_;  // front = most recent
+  std::list<std::pair<cdn::ContentId, double>> items_;  // front = newest
+  cdn::CacheStats stats_;
 };
 
-TEST(Differential, LruMatchesReferenceModel) {
-  des::Rng rng(101);
-  cdn::LruCache cache(Megabytes{40.0});
-  ReferenceLru reference(40.0);
+class ReferenceLru : public ReferenceCache {
+ public:
+  explicit ReferenceLru(double capacity_mb) : ReferenceCache(capacity_mb, true) {}
+};
 
-  std::map<cdn::ContentId, double> sizes;  // stable size per id
-  for (int op = 0; op < 20000; ++op) {
-    const cdn::ContentId id = rng.uniform_int(0, 30);
-    if (sizes.find(id) == sizes.end()) sizes[id] = rng.uniform(1.0, 6.0);
-    const double mb = sizes[id];
-    const double roll = rng.uniform(0.0, 1.0);
-    if (roll < 0.45) {
-      EXPECT_EQ(cache.insert(cdn::ContentItem{id, Megabytes{mb},
-                                              data::Region::kEurope},
-                             Milliseconds{0.0}),
-                reference.insert(id, mb))
-          << "op " << op;
-    } else if (roll < 0.55) {
-      EXPECT_EQ(cache.erase(id), reference.erase(id)) << "op " << op;
+class ReferenceFifo : public ReferenceCache {
+ public:
+  explicit ReferenceFifo(double capacity_mb) : ReferenceCache(capacity_mb, false) {}
+};
+
+// Drives a production cache and its reference through one seeded stream of
+// ~50k operations over 5,000 ids.  The ~1,100 objects that fit make the
+// slot index regrow several times; erase-heavy phases (backward-shift
+// deletion), a mid-stream clear() and ~1% oversized ids ride along.  Every
+// operation must agree on its result, the object count, the exact `used`
+// total and every stats counter; presence is compared id by id every 2,500
+// operations.
+template <typename CacheT, typename ReferenceT>
+void expect_matches_reference(std::uint64_t seed) {
+  constexpr double kCapacity = 4000.0;
+  constexpr cdn::ContentId kIds = 5000;
+  constexpr int kOps = 50000;
+  des::Rng rng(seed);
+  CacheT cache(Megabytes{kCapacity});
+  ReferenceT reference(kCapacity);
+
+  std::vector<double> sizes(kIds);  // stable size per id
+  for (double& mb : sizes) {
+    mb = rng.uniform(0.0, 1.0) < 0.01 ? kCapacity * 1.5 : rng.uniform(1.0, 6.0);
+  }
+  for (int op = 0; op < kOps; ++op) {
+    if (op == kOps / 2) {
+      cache.clear();
+      reference.clear();
     } else {
-      EXPECT_EQ(cache.access(id, Milliseconds{0.0}), reference.access(id))
-          << "op " << op;
+      // Blocks of 5,000 ops alternate fill-heavy and erase-heavy mixes.
+      const bool erase_heavy = (op / 5000) % 2 == 1;
+      const double insert_share = erase_heavy ? 0.2 : 0.6;
+      const double erase_share = erase_heavy ? 0.6 : 0.05;
+      const cdn::ContentId id = rng.uniform_int(0, kIds - 1);
+      const double roll = rng.uniform(0.0, 1.0);
+      if (roll < insert_share) {
+        ASSERT_EQ(cache.insert(cdn::ContentItem{id, Megabytes{sizes[id]},
+                                                data::Region::kEurope},
+                               Milliseconds{0.0}),
+                  reference.insert(id, sizes[id]))
+            << "op " << op;
+      } else if (roll < insert_share + erase_share) {
+        ASSERT_EQ(cache.erase(id), reference.erase(id)) << "op " << op;
+      } else {
+        ASSERT_EQ(cache.access(id, Milliseconds{0.0}), reference.access(id))
+            << "op " << op;
+      }
     }
     ASSERT_EQ(cache.object_count(), reference.size()) << "op " << op;
-    ASSERT_NEAR(cache.used().value(), reference.used(), 1e-9) << "op " << op;
+    ASSERT_EQ(cache.used().value(), reference.used()) << "op " << op;
+    const cdn::CacheStats& got = cache.stats();
+    const cdn::CacheStats& want = reference.stats();
+    ASSERT_EQ(got.hits, want.hits) << "op " << op;
+    ASSERT_EQ(got.misses, want.misses) << "op " << op;
+    ASSERT_EQ(got.insertions, want.insertions) << "op " << op;
+    ASSERT_EQ(got.evictions, want.evictions) << "op " << op;
+    ASSERT_EQ(got.rejected_oversized, want.rejected_oversized) << "op " << op;
+    if (op % 2500 == 0) {
+      const std::set<cdn::ContentId> present = reference.ids();
+      for (cdn::ContentId id = 0; id < kIds; ++id) {
+        ASSERT_EQ(cache.contains(id), present.count(id) != 0)
+            << "op " << op << " id " << id;
+      }
+    }
   }
+  // The stream must have exercised what it claims to.
+  EXPECT_GT(reference.stats().evictions, 1000u);
+  EXPECT_GT(reference.stats().rejected_oversized, 0u);
+  EXPECT_GT(reference.stats().hits, 1000u);
+}
+
+TEST(Differential, LruMatchesReferenceModel) {
+  expect_matches_reference<cdn::LruCache, ReferenceLru>(101);
+}
+
+TEST(Differential, FifoMatchesReferenceModel) {
+  expect_matches_reference<cdn::FifoCache, ReferenceFifo>(202);
 }
 
 TEST(Differential, EveryPolicyAgreesOnPresenceAfterColdInsert) {
