@@ -404,6 +404,18 @@ void BM_SampleSetTrailingP99(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleSetTrailingP99);
 
+void BM_RngSeedAndFirstDraws(benchmark::State& state) {
+  // One synthetic user's stream as sim::synthesize_users uses it: seeded
+  // from mix_seed, then two uniform draws for the scatter.
+  std::uint64_t user = 0;
+  for (auto _ : state) {
+    des::Rng rng(des::mix_seed(7, user++));
+    benchmark::DoNotOptimize(rng.uniform(0.0, 1.0));
+    benchmark::DoNotOptimize(rng.uniform(0.0, 1.0));
+  }
+}
+BENCHMARK(BM_RngSeedAndFirstDraws);
+
 }  // namespace
 
 BENCHMARK_MAIN();

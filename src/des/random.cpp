@@ -8,6 +8,12 @@
 
 namespace spacecdn::des {
 
+Rng::Engine::result_type Rng::Engine::expand() {
+  full_ = std::make_unique<std::mt19937_64>(seed_);
+  full_->discard(kPrefix);
+  return (*full_)();
+}
+
 double Rng::uniform(double lo, double hi) {
   SPACECDN_EXPECT(lo <= hi, "uniform bounds must be ordered");
   std::uniform_real_distribution<double> d(lo, hi);

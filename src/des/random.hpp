@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -30,7 +31,7 @@ namespace spacecdn::des {
 /// Mersenne-twister-backed generator with convenience distributions.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed) noexcept : engine_(seed) {}
 
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi);
@@ -64,11 +65,86 @@ class Rng {
     std::shuffle(v.begin(), v.end(), engine_);
   }
 
-  [[nodiscard]] std::mt19937_64& engine() noexcept { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  /// MT19937-64 whose output sequence is bit-identical to
+  /// `std::mt19937_64(seed)`, expanded lazily.
+  ///
+  /// Seeding fills x[0] = seed, x[k] = F * (x[k-1] ^ (x[k-1] >> 62)) + k, and
+  /// output i of the first twist, for i < 156, is
+  /// temper(x[i+156] ^ A(upper(x[i]) | lower(x[i+1]))): it needs only those
+  /// three seeding words.  So a fresh engine keeps x[i] and x[i+156] and
+  /// advances both by one recurrence step per draw (prefix mode).
+  /// On draw 157 it builds the 2.5 KB `std::mt19937_64(seed)` on the heap,
+  /// skips the 156 outputs already given, and draws from it from then on
+  /// (full mode).  Most per-user streams draw a handful of numbers and never
+  /// leave prefix mode.
+  class Engine {
+   public:
+    using result_type = std::uint64_t;
+    static constexpr result_type min() noexcept { return 0; }
+    static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+    explicit Engine(std::uint64_t seed) noexcept : seed_(seed), low_(seed), high_(seed) {
+      for (std::uint64_t k = 1; k <= kPrefix; ++k) high_ = seed_step(high_, k);
+    }
+    Engine(const Engine& other)
+        : seed_(other.seed_),
+          low_(other.low_),
+          high_(other.high_),
+          draws_(other.draws_),
+          full_(other.full_ ? std::make_unique<std::mt19937_64>(*other.full_)
+                            : nullptr) {}
+    Engine& operator=(const Engine& other) {
+      if (this != &other) *this = Engine(other);
+      return *this;
+    }
+    Engine(Engine&&) noexcept = default;
+    Engine& operator=(Engine&&) noexcept = default;
+
+    result_type operator()() {
+      if (full_) return (*full_)();
+      if (draws_ == kPrefix) return expand();
+      // x[i+1] from x[i]; the twist mixes x[i]'s upper and x[i+1]'s lower bits.
+      const std::uint64_t next = seed_step(low_, draws_ + 1);
+      const std::uint64_t y = (low_ & kUpperMask) | (next & kLowerMask);
+      const std::uint64_t twisted = high_ ^ (y >> 1) ^ ((y & 1) ? kMatrixA : 0);
+      low_ = next;
+      high_ = seed_step(high_, draws_ + kPrefix + 1);
+      ++draws_;
+      return temper(twisted);
+    }
+
+   private:
+    /// mt19937_64's shift size m: outputs [0, m) need no twisted word.
+    static constexpr std::uint32_t kPrefix = 156;
+    static constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+    static constexpr std::uint64_t kLowerMask = ~kUpperMask;
+    static constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+
+    static constexpr std::uint64_t seed_step(std::uint64_t x, std::uint64_t k) noexcept {
+      return 6364136223846793005ULL * (x ^ (x >> 62)) + k;
+    }
+    static constexpr std::uint64_t temper(std::uint64_t z) noexcept {
+      z ^= (z >> 29) & 0x5555555555555555ULL;
+      z ^= (z << 17) & 0x71d67fffeda60000ULL;
+      z ^= (z << 37) & 0xfff7eee000000000ULL;
+      return z ^ (z >> 43);
+    }
+
+    /// Switches to full mode on draw kPrefix + 1 and returns that draw.
+    result_type expand();
+
+    std::uint64_t seed_;
+    std::uint64_t low_;   // prefix mode: x[draws_]
+    std::uint64_t high_;  // prefix mode: x[draws_ + kPrefix]
+    std::uint32_t draws_ = 0;
+    std::unique_ptr<std::mt19937_64> full_;  // engaged from draw kPrefix + 1
+  };
+
+  Engine engine_;
 };
+
+static_assert(sizeof(Rng) <= 40, "a per-client Rng stream must stay small");
 
 /// Zipf distribution over ranks 1..n with exponent s, using a precomputed
 /// CDF table (O(n) setup, O(log n) sampling).  This is the standard model

@@ -228,22 +228,13 @@ void LoadRunner::prepare() {
   if (slo_) slo_->install(sim_, config_.horizon);
   if (series_) series_->install(sim_, config_.horizon);
 
-  // Each client's stream is seeded in place at the back of client_rng_ and
-  // kept only if its first arrival lands inside the horizon.  The reserve
-  // is address space: only the slots actually written become resident.
   const std::vector<sim::Shell1Client>& clients = traffic_.clients();
   client_rng_.reserve(clients.size());
-  client_stream_.resize(clients.size());
   for (std::size_t i = 0; i < clients.size(); ++i) {
     // Streams key on the *dataset* index, so a coverage-filtered client set
     // draws the same numbers as the unfiltered one (fig7's convention).
-    des::Rng& rng =
-        client_rng_.emplace_back(des::mix_seed(config_.seed, clients[i].dataset_index));
-    if (schedule_next_arrival(i, rng)) {
-      client_stream_[i] = static_cast<std::uint32_t>(client_rng_.size() - 1);
-    } else {
-      client_rng_.pop_back();
-    }
+    client_rng_.emplace_back(des::mix_seed(config_.seed, clients[i].dataset_index));
+    schedule_next_arrival(i);
   }
 }
 
@@ -313,19 +304,19 @@ LoadReport LoadRunner::collect() {
   return report_;
 }
 
-bool LoadRunner::schedule_next_arrival(std::size_t client_index, des::Rng& rng) {
-  const Milliseconds gap = traffic_.next_interarrival(client_index, sim_.now(), rng);
-  if (sim_.now() + gap >= config_.horizon) return false;  // open loop ends at horizon
+void LoadRunner::schedule_next_arrival(std::size_t client_index) {
+  const Milliseconds gap =
+      traffic_.next_interarrival(client_index, sim_.now(), client_rng_[client_index]);
+  if (sim_.now() + gap >= config_.horizon) return;  // open loop ends at horizon
   sim_.schedule(gap, [this, client_index] { handle_arrival(client_index); });
-  return true;
 }
 
 void LoadRunner::handle_arrival(std::size_t client_index) {
   // Open loop: the next arrival is scheduled before this one is served, so
   // a congested system keeps receiving offered load (no coordinated
   // omission).
-  des::Rng& rng = client_rng_[client_stream_[client_index]];
-  schedule_next_arrival(client_index, rng);
+  schedule_next_arrival(client_index);
+  des::Rng& rng = client_rng_[client_index];
   ++report_.offered;
   if (series_) ++window_.offered;
 

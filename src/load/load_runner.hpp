@@ -210,9 +210,9 @@ class LoadRunner {
  private:
   /// One request from client `i` at the current simulation time.
   void handle_arrival(std::size_t client_index);
-  /// Draws client `i`'s next gap from `rng` and schedules the arrival if it
-  /// lands inside the horizon; returns whether it did.
-  bool schedule_next_arrival(std::size_t client_index, des::Rng& rng);
+  /// Draws client `i`'s next gap from its stream and schedules the arrival
+  /// if it lands inside the horizon.
+  void schedule_next_arrival(std::size_t client_index);
   /// Charges an admitted fetch against the capacity model (ISL path, the
   /// gateway feeder for tier iii, the serving satellite's downlink).
   void dispatch_transfer(std::size_t client_index, const space::FetchResult& fetch,
@@ -256,13 +256,8 @@ class LoadRunner {
   /// Rolling one-second deadline-miss window (flight-recorder spike trips).
   Milliseconds miss_window_start_{0.0};
   std::size_t miss_window_count_ = 0;
-  /// Random streams of the clients that arrive at least once inside the
-  /// horizon, in client order; client `i` draws from
-  /// `client_rng_[client_stream_[i]]`.  A client whose first gap already
-  /// passes the horizon never draws again, so it keeps no stream (its entry
-  /// in client_stream_ is left unused).
+  /// One random stream per client, in client order.
   std::vector<des::Rng> client_rng_;
-  std::vector<std::uint32_t> client_stream_;
   std::vector<const data::CountryInfo*> city_country_;
   std::vector<geo::GeoPoint> city_location_;
   /// Lazily created bottleneck queues (most satellites never serve).

@@ -4,6 +4,9 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -255,6 +258,101 @@ TEST(Rng, SampleWithoutReplacementIsDistinct) {
   EXPECT_EQ(unique.size(), 30u);
   for (std::uint32_t v : sample) EXPECT_LT(v, 100u);
   EXPECT_THROW((void)rng.sample_without_replacement(5, 6), ConfigError);
+}
+
+// Rng's engine is a lazily expanded MT19937-64: outputs 1..156 come from a
+// two-word prefix, later ones from a std::mt19937_64 built on draw 157.  A
+// full-range uniform_int passes engine outputs through unchanged, so these
+// tests compare raw outputs against the std engine across the switch.
+constexpr std::uint64_t kFullRange = ~std::uint64_t{0};
+
+/// Expects `rng` to continue as `ref` for `count` outputs.
+void expect_same_outputs(Rng& rng, std::mt19937_64& ref, int count, std::uint64_t seed,
+                         int start) {
+  for (int i = 0; i < count; ++i) {
+    const std::uint64_t want = ref();
+    const std::uint64_t got = rng.uniform_int(0, kFullRange);
+    if (got != want) {
+      ADD_FAILURE() << "seed " << seed << ": output " << start + i << " is " << got
+                    << ", std::mt19937_64 gives " << want;
+      return;
+    }
+  }
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64AcrossPrefixSwitch) {
+  std::vector<std::uint64_t> seeds = {0, 1, kFullRange};
+  for (std::uint64_t s = 0; s < 500; ++s) seeds.push_back(mix_seed(20240917, s));
+  for (const std::uint64_t seed : seeds) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    expect_same_outputs(rng, ref, 1000, seed, 0);
+  }
+}
+
+TEST(Rng, CopiesAndMovesContinueIdentically) {
+  const std::uint64_t seed = mix_seed(7, 3);
+  for (const int drawn : {0, 155, 156, 157, 500}) {
+    Rng original(seed);
+    for (int i = 0; i < drawn; ++i) (void)original.uniform_int(0, kFullRange);
+    std::mt19937_64 ref(seed);
+    ref.discard(static_cast<unsigned long long>(drawn));
+
+    Rng copied(original);
+    Rng assigned(1);
+    assigned = original;
+    Rng move_source(original);
+    Rng moved(std::move(move_source));
+    Rng move_assigned(2);
+    move_assigned = Rng(original);
+    for (Rng* rng : {&copied, &assigned, &moved, &move_assigned}) {
+      std::mt19937_64 expected = ref;
+      expect_same_outputs(*rng, expected, 400, seed, drawn);
+    }
+    // Copies are deep: drawing from them left the original where it was.
+    expect_same_outputs(original, ref, 400, seed, drawn);
+  }
+}
+
+TEST(Rng, MethodsMatchStdDistributionsOnStdEngine) {
+  for (const std::uint64_t seed : {std::uint64_t{3}, mix_seed(11, 5)}) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    const std::vector<double> weights = {1.0, 2.0, 7.0, 0.5};
+    // About 16 outputs a round, so the rounds cross draw 157 early.
+    for (int round = 0; round < 40; ++round) {
+      EXPECT_EQ(rng.uniform(-2.0, 5.0),
+                std::uniform_real_distribution<double>(-2.0, 5.0)(ref));
+      EXPECT_EQ(rng.uniform_int(3, 1000),
+                std::uniform_int_distribution<std::uint64_t>(3, 1000)(ref));
+      EXPECT_EQ(rng.chance(0.3), std::bernoulli_distribution(0.3)(ref));
+      EXPECT_EQ(rng.normal(10.0, 2.0), std::normal_distribution<double>(10.0, 2.0)(ref));
+      EXPECT_EQ(rng.lognormal_median(20.0, 0.5),
+                std::lognormal_distribution<double>(std::log(20.0), 0.5)(ref));
+      EXPECT_EQ(rng.exponential(4.0), std::exponential_distribution<double>(0.25)(ref));
+      EXPECT_EQ(
+          rng.weighted_index(weights),
+          std::discrete_distribution<std::size_t>(weights.begin(), weights.end())(ref));
+
+      // Partial Fisher-Yates, as sample_without_replacement documents.
+      std::vector<std::uint32_t> pool(20);
+      std::iota(pool.begin(), pool.end(), 0u);
+      for (std::uint32_t i = 0; i < 5; ++i) {
+        const auto j = static_cast<std::uint32_t>(
+            std::uniform_int_distribution<std::uint64_t>(i, 19)(ref));
+        std::swap(pool[i], pool[j]);
+      }
+      pool.resize(5);
+      EXPECT_EQ(rng.sample_without_replacement(20, 5), pool);
+
+      std::vector<int> shuffled(7), expected(7);
+      std::iota(shuffled.begin(), shuffled.end(), 0);
+      std::iota(expected.begin(), expected.end(), 0);
+      rng.shuffle(shuffled);
+      std::shuffle(expected.begin(), expected.end(), ref);
+      EXPECT_EQ(shuffled, expected);
+    }
+  }
 }
 
 TEST(Zipf, PmfSumsToOne) {
