@@ -21,6 +21,7 @@
 #include "data/datasets.hpp"
 #include "faults/schedule.hpp"
 #include "sim/runner.hpp"
+#include "spacecdn/placement.hpp"
 #include "spacecdn/resilience.hpp"
 #include "spacecdn/router.hpp"
 #include "util/csv.hpp"
@@ -233,6 +234,8 @@ int main(int argc, char** argv) {
                "lost replicas -- while p99 and retry rate grow as MTBF falls "
                "and MTTR rises, and time-to-repair tracks the audit cadence "
                "plus the crash-recovery MTTR.\n";
+  std::cout << "determinism checksum: " << runner.checksum().hex()
+            << " (bit-identical across --threads)\n";
   runner.record("availability_accept", accept.availability);
   return runner.finish(accept.availability >= 0.99 && rerun == accept);
 }

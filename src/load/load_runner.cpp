@@ -5,7 +5,7 @@
 
 #include "data/datasets.hpp"
 #include "obs/telemetry.hpp"
-#include "spacecdn/placement.hpp"
+#include "spacecdn/placement_map.hpp"
 #include "util/error.hpp"
 
 namespace spacecdn::load {
@@ -191,9 +191,11 @@ void LoadRunner::prepare() {
   // Prewarm replicas across the constellation so tier (ii) has content to
   // find (the paper's in-plane placement argument, section 4).
   if (config_.copies_per_plane > 0) {
-    const space::ContentPlacement placement(
+    const space::PlacementMap placement(
         network_->constellation(),
-        {config_.copies_per_plane, config_.placement_plane_stride});
+        {.policy = space::PlacementPolicy::kPerPlane,
+         .replicas = config_.copies_per_plane,
+         .plane_stride = config_.placement_plane_stride});
     for (const cdn::ContentItem& item : traffic_.catalog().items()) {
       placement.place(*fleet_, item, Milliseconds{0.0});
     }

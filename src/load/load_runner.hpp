@@ -51,8 +51,9 @@ struct LoadConfig {
   Milliseconds horizon = Milliseconds::from_seconds(30.0);
   /// Router hop budget for tier (ii).
   std::uint32_t max_isl_hops = 10;
-  /// Replica prewarm (spacecdn::ContentPlacement): copies per selected
-  /// plane, every `placement_plane_stride`-th plane.  0 copies = cold start.
+  /// Replica prewarm (the per-plane space::PlacementMap policy): copies per
+  /// selected plane, every `placement_plane_stride`-th plane.  0 copies =
+  /// cold start.
   std::uint32_t copies_per_plane = 4;
   std::uint32_t placement_plane_stride = 8;
   /// Primary seed; per-city streams derive from it via des::mix_seed.

@@ -1,30 +1,8 @@
 #include "net/link.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace spacecdn::net {
-
-QueueingModel::QueueingModel(Milliseconds mean_service_time, Milliseconds max_delay)
-    : mean_service_time_(mean_service_time), max_delay_(max_delay) {
-  SPACECDN_EXPECT(mean_service_time.value() >= 0.0, "service time must be non-negative");
-  SPACECDN_EXPECT(max_delay.value() >= 0.0, "max queueing delay must be non-negative");
-}
-
-Milliseconds QueueingModel::expected_delay(double rho) const {
-  SPACECDN_EXPECT(rho >= 0.0 && rho <= 1.0, "utilisation must be within [0, 1]");
-  if (rho >= 1.0) return max_delay_;
-  const double wait = mean_service_time_.value() * rho / (1.0 - rho);
-  return Milliseconds{std::min(wait, max_delay_.value())};
-}
-
-Milliseconds QueueingModel::sample_delay(double rho, des::Rng& rng) const {
-  const Milliseconds mean = expected_delay(rho);
-  if (mean.value() <= 0.0) return Milliseconds{0.0};
-  return Milliseconds{std::min(rng.exponential(mean.value()), max_delay_.value())};
-}
 
 BufferbloatModel::BufferbloatModel(Milliseconds bloat_at_full_load, double sigma)
     : bloat_at_full_load_(bloat_at_full_load), sigma_(sigma) {

@@ -1,9 +1,9 @@
-// Link-level delay models: serialization, queueing, and bufferbloat.
+// Link-level delay models: serialization, cut-through load, and bufferbloat.
 //
-// The paper's web results hinge on two link behaviours beyond propagation
-// delay: (i) queueing that grows with utilisation, and (ii) Starlink's
-// well-documented bufferbloat, where deep buffers add >200 ms under active
-// downloads (paper section 3.2, citing Mohan et al. WWW'24).
+// The paper's web results hinge on link behaviour beyond propagation delay:
+// Starlink's well-documented bufferbloat, where deep buffers add >200 ms
+// under active downloads (paper section 3.2, citing Mohan et al. WWW'24).
+// Queueing at contended hops is simulated explicitly by load::LinkQueue.
 #pragma once
 
 #include "des/random.hpp"
@@ -48,25 +48,6 @@ struct LinkLoad {
     if (horizon.value() <= 0.0 || capacity.value() <= 0.0) return 0.0;
     return transmission_delay(carried, capacity) / horizon;
   }
-};
-
-/// M/M/1-style queueing delay as a function of utilisation.
-///
-/// mean_wait = service_time * rho / (1 - rho), capped so a saturated link
-/// yields `max_delay` instead of infinity (real buffers are finite).
-class QueueingModel {
- public:
-  QueueingModel(Milliseconds mean_service_time, Milliseconds max_delay);
-
-  /// Expected queueing delay at utilisation `rho` in [0, 1].
-  [[nodiscard]] Milliseconds expected_delay(double rho) const;
-
-  /// One stochastic sample (exponential around the expectation).
-  [[nodiscard]] Milliseconds sample_delay(double rho, des::Rng& rng) const;
-
- private:
-  Milliseconds mean_service_time_;
-  Milliseconds max_delay_;
 };
 
 /// Bufferbloat: latency inflation under sustained load.

@@ -205,8 +205,6 @@ void ScenarioValues::apply(ScenarioSpec& spec) const {
   spec.load_horizon_s = get("load-horizon-s", spec.load_horizon_s);
   spec.queue_discipline = get("queue-discipline", spec.queue_discipline);
   expect_one_of("queue-discipline", spec.queue_discipline, {"fifo", "drr"});
-  spec.placement = get("placement", spec.placement);
-  expect_one_of("placement", spec.placement, {"baseline", "jump", "jump-ec"});
   spec.replica_diversity = get("replica-diversity", spec.replica_diversity);
   expect_one_of("replica-diversity", spec.replica_diversity, {"plane", "phase"});
 

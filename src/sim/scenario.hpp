@@ -94,12 +94,7 @@ struct ScenarioSpec {
   double load_horizon_s = 30.0;  ///< arrival horizon of one load run
   std::string queue_discipline = "fifo";  ///< bottleneck queues: fifo or drr
 
-  // --- replica placement (spacecdn/placement_map; "baseline" keeps the
-  // published fixed k-copies layout and its checksums) ---
-  /// "baseline" (membership-naive re-place-everything), "jump"
-  /// (jump-consistent-hash, churn-minimal), or "jump-ec" (jump placement of
-  /// erasure-coded fragments).
-  std::string placement = "baseline";
+  // --- replica placement (spacecdn/placement_map) ---
   /// Replica spreading constraint of the jump policies: "plane"
   /// (pairwise-distinct orbital planes) or "phase" (distinct planes and
   /// distinct in-plane slots).

@@ -1,24 +1,20 @@
-// Content placement across the constellation.
+// The paper's section-4 replica layout under its historical name.
 //
-// The paper's feasibility argument (section 4): Shell 1 has 72 planes of 22
-// satellites, so "with around 4 copies distributed within each plane, an
-// object can be reachable within 5 hops, even within a single orbital
-// plane; fewer copies would be needed if east-west ISLs across orbital
-// planes are also used."  This module implements that placement and the
-// hop-distance analysis behind the claim.
+// Shell 1 has 72 planes of 22 satellites, so "with around 4 copies
+// distributed within each plane, an object can be reachable within 5 hops,
+// even within a single orbital plane; fewer copies would be needed if
+// east-west ISLs across orbital planes are also used."  That layout is the
+// kPerPlane policy of PlacementMap (placement_map.hpp); ContentPlacement is
+// only a per-plane map built from the two numbers the paper talks about.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "cdn/content.hpp"
-#include "des/random.hpp"
-#include "orbit/walker.hpp"
-#include "spacecdn/fleet.hpp"
+#include "spacecdn/placement_map.hpp"
 
 namespace spacecdn::space {
 
-/// Strategy for replica placement.
+/// Strategy for the per-plane layout.
 struct PlacementConfig {
   /// Replicas of each object per orbital plane.
   std::uint32_t copies_per_plane = 4;
@@ -27,46 +23,17 @@ struct PlacementConfig {
   std::uint32_t plane_stride = 1;
 };
 
-/// Computes replica locations and pushes objects into the fleet.
-class ContentPlacement {
+/// A PlacementMap with the kPerPlane policy.
+class ContentPlacement : public PlacementMap {
  public:
-  /// @throws spacecdn::ConfigError on zero copies, a zero stride, or a
-  /// stride larger than the constellation's plane count.
+  /// @throws spacecdn::ConfigError on zero copies, more copies than
+  /// satellites in a plane, a zero stride, or a stride larger than the
+  /// constellation's plane count.
   ContentPlacement(const orbit::WalkerConstellation& constellation,
-                   PlacementConfig config);
-
-  [[nodiscard]] const PlacementConfig& config() const noexcept { return config_; }
-
-  /// Satellite ids that hold a replica of `id`.  Replicas are spread evenly
-  /// within each selected plane, with a per-object rotation (derived from
-  /// the id) so different objects land on different satellites.
-  [[nodiscard]] std::vector<std::uint32_t> replicas(cdn::ContentId id) const;
-
-  /// Inserts `item` into every replica satellite's cache.
-  void place(SatelliteFleet& fleet, const cdn::ContentItem& item,
-             Milliseconds now) const;
-
-  /// Minimum ISL hop count from `sat` to a replica of `id`.  In the +grid
-  /// topology the hop distance between satellites is the wrap-around
-  /// Manhattan distance over (plane, slot), which this computes exactly.
-  [[nodiscard]] std::uint32_t hops_to_replica(std::uint32_t sat, cdn::ContentId id) const;
-
-  /// Exact +grid hop distance between two satellites.
-  [[nodiscard]] std::uint32_t grid_hop_distance(std::uint32_t a, std::uint32_t b) const;
-
-  /// Hop-distance statistics of this placement: for `probes` random
-  /// (satellite, object) pairs, the hops to the nearest replica.
-  struct HopStats {
-    double mean_hops = 0.0;
-    std::uint32_t max_hops = 0;
-    double p99_hops = 0.0;
-  };
-  [[nodiscard]] HopStats analyze(std::uint32_t probes, std::uint64_t catalog_size,
-                                 des::Rng& rng) const;
-
- private:
-  const orbit::WalkerConstellation* constellation_;
-  PlacementConfig config_;
+                   PlacementConfig config)
+      : PlacementMap(constellation, {.policy = PlacementPolicy::kPerPlane,
+                                     .replicas = config.copies_per_plane,
+                                     .plane_stride = config.plane_stride}) {}
 };
 
 }  // namespace spacecdn::space

@@ -9,8 +9,8 @@ namespace spacecdn::space {
 
 namespace {
 
-/// Cheap deterministic mixer (murmur finalizer), shared idiom with
-/// ContentPlacement so object keys decorrelate from dense catalog ids.
+/// Cheap deterministic mixer (murmur finalizer) so object keys decorrelate
+/// from dense catalog ids.
 std::uint64_t mix(std::uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -44,6 +44,7 @@ std::uint32_t jump_consistent_hash(std::uint64_t key, std::uint32_t buckets) noe
 
 std::string_view to_string(PlacementPolicy policy) noexcept {
   switch (policy) {
+    case PlacementPolicy::kPerPlane: return "per-plane";
     case PlacementPolicy::kBaseline: return "baseline";
     case PlacementPolicy::kJump: return "jump";
     case PlacementPolicy::kJumpEc: return "jump-ec";
@@ -52,11 +53,12 @@ std::string_view to_string(PlacementPolicy policy) noexcept {
 }
 
 PlacementPolicy parse_placement_policy(const std::string& name) {
+  if (name == "per-plane") return PlacementPolicy::kPerPlane;
   if (name == "baseline") return PlacementPolicy::kBaseline;
   if (name == "jump") return PlacementPolicy::kJump;
   if (name == "jump-ec") return PlacementPolicy::kJumpEc;
   throw ConfigError("unknown placement policy '" + name +
-                    "' (expected baseline|jump|jump-ec)");
+                    "' (expected per-plane|baseline|jump|jump-ec)");
 }
 
 std::string_view to_string(ReplicaDiversity diversity) noexcept {
@@ -105,6 +107,18 @@ PlacementMap::PlacementMap(const orbit::WalkerConstellation& constellation,
   SPACECDN_EXPECT(config.replicas > 0, "need at least one replica");
   SPACECDN_EXPECT(config.ec.data > 0, "erasure profile needs a data fragment");
   SPACECDN_EXPECT(config.max_probe_attempts > 0, "need at least one probe attempt");
+  if (config.policy == PlacementPolicy::kPerPlane) {
+    for (const orbit::WalkerDesign& shell : constellation.shells()) {
+      SPACECDN_EXPECT(config.replicas <= shell.sats_per_plane,
+                      "cannot place more copies than satellites in a plane");
+    }
+    SPACECDN_EXPECT(config.plane_stride > 0, "plane stride must be positive");
+    // A stride past the plane count would silently collapse the placement
+    // to plane 0 only, losing all plane diversity.
+    SPACECDN_EXPECT(config.plane_stride <= constellation.plane_count(),
+                    "plane stride cannot exceed the plane count");
+    return;
+  }
   const std::uint32_t placements = placements_per_object();
   SPACECDN_EXPECT(placements <= constellation.plane_count(),
                   "plane-diverse placement needs at least as many planes as "
@@ -119,8 +133,12 @@ PlacementMap::PlacementMap(const orbit::WalkerConstellation& constellation,
 }
 
 std::uint32_t PlacementMap::placements_per_object() const noexcept {
-  return config_.policy == PlacementPolicy::kJumpEc ? config_.ec.fragments()
-                                                    : config_.replicas;
+  if (config_.policy == PlacementPolicy::kJumpEc) return config_.ec.fragments();
+  if (config_.policy == PlacementPolicy::kPerPlane) {
+    const std::uint32_t stride = config_.plane_stride;
+    return (constellation_->plane_count() + stride - 1) / stride * config_.replicas;
+  }
+  return config_.replicas;
 }
 
 std::uint32_t PlacementMap::min_live_for_read() const noexcept {
@@ -146,12 +164,15 @@ std::vector<std::uint32_t> PlacementMap::replicas_under(
   std::vector<std::uint32_t> out;
   out.reserve(placements);
 
+  if (config_.policy == PlacementPolicy::kPerPlane) {
+    pick_per_plane(id, out);
+    return out;
+  }
   if (config_.policy == PlacementPolicy::kBaseline) {
     // Naive membership-aware recompute: replicas spread evenly over the
     // *live* satellite list.  Any liveness change renumbers the list, so
     // nearly every object's holders shift -- the classic mod-N rehash
-    // pathology this engine exists to replace.  Diversity is ignored, like
-    // the k-copies policy it models.
+    // pathology this engine exists to replace.  Diversity is ignored.
     std::vector<std::uint32_t> live_sats;
     live_sats.reserve(live.size());
     for (std::uint32_t sat = 0; sat < live.size(); ++sat) {
@@ -171,6 +192,25 @@ std::vector<std::uint32_t> PlacementMap::replicas_under(
     pick_jump(id, r, live, out);
   }
   return out;
+}
+
+void PlacementMap::pick_per_plane(cdn::ContentId id,
+                                  std::vector<std::uint32_t>& out) const {
+  // Planes are addressed globally across shells, so every shell of a
+  // multi-shell constellation receives replicas.  The holder order is part
+  // of the contract: prewarm inserts in this order, and the resulting LRU
+  // state feeds every published load checksum.
+  const std::uint32_t planes = constellation_->plane_count();
+  const std::uint32_t copies = config_.replicas;
+  for (std::uint32_t p = 0; p < planes; p += config_.plane_stride) {
+    const std::uint32_t s = constellation_->plane_size(p);
+    // Per-object, per-plane rotation so replicas of different objects do not
+    // pile onto the same satellites.
+    const auto rotation = static_cast<std::uint32_t>(mix(id * 1315423911ULL + p) % s);
+    for (std::uint32_t c = 0; c < copies; ++c) {
+      out.push_back(constellation_->plane_sat(p, (rotation + c * s / copies) % s));
+    }
+  }
 }
 
 void PlacementMap::pick_jump(cdn::ContentId id, std::uint32_t r,

@@ -1,43 +1,45 @@
-// Jump-consistent-hash replica placement with churn-minimal rebalancing.
+// Replica placement: one object -> satellite map with four policies.
 //
-// ContentPlacement (placement.hpp) reproduces the paper's fixed
-// k-copies-per-plane layout; it is membership-unaware, so the constellation
-// has no principled answer to "where should this object live *now*" once
-// satellites fail, recover, or duty-cycle off.  This module is the
-// production placement engine ROADMAP item 2 calls for, in the spirit of
-// DAOS's jump-map placement:
+// Every placement in the system -- the paper's section-4 layout, the
+// churn-minimal jump map and its erasure-coded variant, and the naive
+// strawman they are measured against -- is a PlacementMap with a policy, in
+// the spirit of DAOS's pl_map (one interface, several placement policies):
 //
-//  * MembershipMap -- a versioned liveness bitmap over the satellite ids.
-//    Satellites enter and leave as faults and duty cycles flip them; every
-//    change bumps the version, so consumers can detect staleness in O(1).
+//  * kPerPlane -- the paper's fixed layout: "with around 4 copies
+//    distributed within each plane, an object can be reachable within 5
+//    hops".  `replicas` copies per plane, spread evenly with a per-object
+//    rotation, over every `plane_stride`-th plane.  It ignores membership,
+//    so a dead holder stays a holder until it returns.
 //
-//  * PlacementMap -- a deterministic object -> satellite map over a
-//    membership snapshot.  The jump policy assigns replica r of object o by
-//    jump_consistent_hash over the *full* id space and deterministically
-//    re-probes while the candidate is dead or violates the diversity
-//    constraint.  Because probe sequences are per-(object, replica) and
-//    independent of the live count, one membership change only moves the
-//    objects whose probe sequence actually crossed the flipped satellite:
-//    O(1/N) of the catalog, versus the naive mod-live-count baseline policy
-//    that reshuffles nearly everything (kBaseline below, kept as the
-//    measurable strawman the ablation bench compares against).
+//  * kBaseline -- naive membership-aware recompute: copies evenly spaced
+//    over the *live* satellite list, so any liveness change reshuffles
+//    nearly every object.  Kept as the measurable strawman the ablation
+//    bench compares the jump policies against.
 //
-//  * Orbit-aware diversity -- replicas are forced onto pairwise-distinct
-//    orbital planes (kPlane) or distinct planes *and* distinct in-plane
-//    phase slots (kPhase), so a plane-level fault domain (faults/domains
-//    plane_domain) can never hold every copy of an object.
+//  * kJump -- replica r of object o is jump_consistent_hash over the
+//    *full* id space, re-probed deterministically while the candidate is
+//    dead or violates the diversity constraint.  Probe sequences are
+//    per-(object, replica) and independent of the live count, so one
+//    membership change moves only O(1/N) of the catalog.
 //
-//  * Erasure-coded striping (kJumpEc) -- instead of whole-object replicas,
-//    an object is cut into an ErasureProfile's data+parity fragments
-//    (striping.hpp), one fragment per satellite, spread with the same
-//    diversity rule.  Storage cost drops from replicas x to (k+m)/k x; an
-//    object stays readable while any `data` fragments survive.
+//  * kJumpEc -- jump placement of an ErasureProfile's data+parity
+//    fragments (striping.hpp), one fragment per satellite.  Storage cost
+//    drops from replicas x to (k+m)/k x; an object stays readable while any
+//    `data` fragments survive.
 //
-// RepairDaemon (resilience.hpp) consumes the map in delta mode: it keeps
+// MembershipMap is a versioned liveness bitmap over the satellite ids;
+// ChurnController (resilience.hpp) keeps it in step with fault events, and
+// every change bumps the version so consumers detect staleness in O(1).
+// The jump policies force replicas onto pairwise-distinct orbital planes
+// (kPlane) or distinct planes *and* in-plane phase slots (kPhase), so a
+// plane-level fault domain can never hold every copy of an object.
+//
+// RepairDaemon (resilience.hpp) audits any policy the same way: it keeps
 // the membership snapshot it last synced to and, on each audit, moves only
-// the (object, slot) pairs whose assignment differs between the synced and
-// the current snapshot -- the "bytes moved per churn cycle" metric of
-// bench/ablation_placement_map.
+// the (object, slot) pairs whose assignment differs between that snapshot
+// and the current one -- the "bytes moved per churn cycle" metric of
+// bench/ablation_placement_map.  For kPerPlane the two always agree, so the
+// audit reduces to refilling lost copies.
 #pragma once
 
 #include <cstdint>
@@ -61,10 +63,13 @@ namespace spacecdn::space {
 
 /// Placement policy of a PlacementMap.
 enum class PlacementPolicy {
+  /// The paper's fixed layout: `replicas` copies in each selected plane,
+  /// membership ignored.
+  kPerPlane,
   /// Naive membership-aware recompute: replicas are evenly spaced over the
   /// *live* satellite list, so any liveness change renumbers nearly every
-  /// assignment.  This is the re-place-everything behaviour of the k-copies
-  /// RepairDaemon policy, kept as the ablation baseline.
+  /// assignment -- the mod-N rehash a placement without consistent hashing
+  /// falls into.  Kept as the ablation baseline.
   kBaseline,
   /// Jump consistent hashing with deterministic re-probing: one membership
   /// change moves O(1/N) of objects.
@@ -75,7 +80,7 @@ enum class PlacementPolicy {
 
 [[nodiscard]] std::string_view to_string(PlacementPolicy policy) noexcept;
 /// @throws spacecdn::ConfigError on an unknown name
-/// ("baseline"/"jump"/"jump-ec").
+/// ("per-plane"/"baseline"/"jump"/"jump-ec").
 [[nodiscard]] PlacementPolicy parse_placement_policy(const std::string& name);
 
 /// How strictly replicas must spread across the orbit geometry.
@@ -122,8 +127,12 @@ class MembershipMap {
 /// Placement-map configuration.
 struct PlacementMapConfig {
   PlacementPolicy policy = PlacementPolicy::kJump;
-  /// Whole-object copies per object (kBaseline / kJump).
+  /// Whole-object copies per object (kBaseline / kJump), or per selected
+  /// plane (kPerPlane).
   std::uint32_t replicas = 4;
+  /// kPerPlane only: place copies in every n-th global plane (1 = every
+  /// plane).  Cross-plane ISLs make sparser placements viable.
+  std::uint32_t plane_stride = 1;
   ReplicaDiversity diversity = ReplicaDiversity::kPlane;
   /// Fragment geometry of the kJumpEc mode (data + parity fragments, one
   /// satellite each).
@@ -136,9 +145,11 @@ struct PlacementMapConfig {
 /// Deterministic object -> satellite placement over a versioned membership.
 class PlacementMap {
  public:
-  /// @throws spacecdn::ConfigError when the config asks for more placements
-  /// than the constellation has planes (diversity would be unsatisfiable),
-  /// or for zero replicas / an invalid erasure profile.
+  /// @throws spacecdn::ConfigError on zero replicas or an invalid erasure
+  /// profile; under kPerPlane, on more copies than satellites in a plane or
+  /// a plane stride outside [1, plane count]; otherwise, when the config
+  /// asks for more placements than the constellation has planes (diversity
+  /// would be unsatisfiable).
   PlacementMap(const orbit::WalkerConstellation& constellation,
                PlacementMapConfig config);
 
@@ -148,8 +159,8 @@ class PlacementMap {
     return membership_;
   }
 
-  /// Placements per object: `replicas` whole copies, or data+parity
-  /// fragments under kJumpEc.
+  /// Placements per object: `replicas` whole copies, `replicas` per
+  /// selected plane under kPerPlane, or data+parity fragments under kJumpEc.
   [[nodiscard]] std::uint32_t placements_per_object() const noexcept;
 
   /// Live placements an object needs to stay readable: 1 whole copy, or
@@ -186,9 +197,9 @@ class PlacementMap {
   };
   [[nodiscard]] LoadSkew load_skew(std::uint64_t catalog_size) const;
 
-  /// Hop-distance statistics to the nearest live holder, over `probes`
-  /// random (satellite, object) pairs -- the hit-distance half of placement
-  /// quality (grid-hop metric shared with ContentPlacement::analyze).
+  /// Hop-distance statistics to the nearest holder (the min_live_for_read-th
+  /// nearest under kJumpEc), over `probes` random (satellite, object) pairs
+  /// -- the hit-distance half of placement quality.
   struct HopStats {
     double mean_hops = 0.0;
     std::uint32_t max_hops = 0;
@@ -203,6 +214,8 @@ class PlacementMap {
                                                 std::uint32_t b) const;
 
  private:
+  /// Appends the kPerPlane holders of `id` to `out`.
+  void pick_per_plane(cdn::ContentId id, std::vector<std::uint32_t>& out) const;
   /// Appends the placement for (id, slot r) under `live` to `chosen`.
   void pick_jump(cdn::ContentId id, std::uint32_t r, const std::vector<bool>& live,
                  std::vector<std::uint32_t>& chosen) const;

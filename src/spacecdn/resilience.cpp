@@ -121,16 +121,6 @@ RepairReport& RepairReport::operator+=(const RepairReport& other) noexcept {
   return *this;
 }
 
-RepairDaemon::RepairDaemon(SatelliteFleet& fleet, const ContentPlacement& placement,
-                           std::vector<cdn::ContentItem> catalog, RepairConfig config)
-    : fleet_(&fleet),
-      placement_(&placement),
-      catalog_(std::move(catalog)),
-      config_(config) {
-  SPACECDN_EXPECT(config_.scan_interval.value() > 0.0,
-                  "repair scan interval must be positive");
-}
-
 RepairDaemon::RepairDaemon(SatelliteFleet& fleet, const PlacementMap& map,
                            std::vector<cdn::ContentItem> catalog, RepairConfig config)
     : fleet_(&fleet),
@@ -149,53 +139,23 @@ void RepairDaemon::note_crash(std::uint32_t sat, Milliseconds at) {
   open_crashes_.emplace_back(sat, at);
 }
 
-std::vector<std::uint32_t> RepairDaemon::current_replicas(cdn::ContentId id) const {
-  return map_ != nullptr ? map_->replicas(id) : placement_->replicas(id);
-}
-
 bool RepairDaemon::fully_replicated_on(std::uint32_t sat) const {
   if (!fleet_->cache_enabled(sat)) return false;
   for (const cdn::ContentItem& item : catalog_) {
-    const auto replicas = current_replicas(item.id);
+    const auto replicas = map_->replicas(item.id);
     if (std::find(replicas.begin(), replicas.end(), sat) == replicas.end()) continue;
     if (!fleet_->cache(sat).contains(item.id)) return false;
   }
   return true;
 }
 
-void RepairDaemon::audit_placement(Milliseconds now, RepairReport& report) {
-  for (const cdn::ContentItem& item : catalog_) {
-    ++report.objects_scanned;
-    const auto replicas = placement_->replicas(item.id);
-    for (const std::uint32_t slot : replicas) {
-      if (fleet_->holds(slot, item.id)) continue;
-      if (!fleet_->cache_enabled(slot)) {
-        // The slot itself is dark (offline / crashed / duty-disabled);
-        // nothing to copy onto yet.
-        ++report.unrepairable;
-        continue;
-      }
-      ++report.under_replicated;
-      // Prefer a surviving space replica as the copy source.
-      const bool space_source =
-          std::any_of(replicas.begin(), replicas.end(), [&](std::uint32_t other) {
-            return other != slot && fleet_->holds(other, item.id);
-          });
-      if (fleet_->cache(slot).insert(item, now)) {
-        (space_source ? report.re_replicated : report.ground_refills) += 1;
-        report.bytes_moved_mb += item.size.value();
-      } else {
-        ++report.unrepairable;  // object larger than the slot's cache
-      }
-    }
-  }
-}
-
-void RepairDaemon::audit_map(Milliseconds now, RepairReport& report) {
+RepairReport RepairDaemon::run_once(Milliseconds now) {
+  RepairReport report;
   const MembershipMap& membership = map_->membership();
-  // The map only ever assigns live satellites, so there are no dark slots to
-  // defer: a failed satellite's objects are re-routed the moment membership
-  // flips, and flow back just as minimally on recovery.
+  // The membership-aware policies only assign live satellites: a failed
+  // satellite's objects are re-routed the moment membership flips, and flow
+  // back just as minimally on recovery.  Per-plane holders ignore
+  // membership, so a dark holder is deferred until it comes back.
   const bool delta = membership.version() != synced_version_;
   for (const cdn::ContentItem& item : catalog_) {
     ++report.objects_scanned;
@@ -208,8 +168,9 @@ void RepairDaemon::audit_map(Milliseconds now, RepairReport& report) {
     for (const std::uint32_t slot : now_set) {
       if (fleet_->holds(slot, item.id)) continue;
       if (!fleet_->cache_enabled(slot)) {
-        // Membership lag (flip not yet mirrored into the map): skip until a
-        // later scan sees a consistent view.
+        // A per-plane holder that is dark (offline / crashed / duty-disabled),
+        // or membership lag (flip not yet mirrored into the map): nothing to
+        // copy onto until a later scan finds it up.
         ++report.unrepairable;
         continue;
       }
@@ -240,15 +201,6 @@ void RepairDaemon::audit_map(Milliseconds now, RepairReport& report) {
   }
   synced_live_ = membership.bitmap();
   synced_version_ = membership.version();
-}
-
-RepairReport RepairDaemon::run_once(Milliseconds now) {
-  RepairReport report;
-  if (map_ != nullptr) {
-    audit_map(now, report);
-  } else {
-    audit_placement(now, report);
-  }
   ++scans_;
   totals_ += report;
   if (auto* m = obs::metrics()) {

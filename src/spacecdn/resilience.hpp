@@ -9,16 +9,16 @@
 //    fault processes (a laser flap during a whole-satellite outage) compose
 //    correctly.
 //
-//  * RepairDaemon periodically audits the placement invariant and
+//  * RepairDaemon periodically audits a PlacementMap's invariant and
 //    re-replicates under-replicated objects from surviving space holders (or
 //    the ground origin as a last resort), restoring the redundancy a cache
 //    crash destroyed.  It reports time-to-repair so churn experiments can
-//    quantify how long the constellation runs degraded.  Against the legacy
-//    ContentPlacement it re-audits every slot each scan; against a
-//    PlacementMap it runs in *delta* mode -- diff the membership snapshot it
-//    last synced against the current one and move only the changed
-//    assignments, which is the bytes-moved metric bench/ablation_placement_map
-//    compares across policies.
+//    quantify how long the constellation runs degraded.  Each audit also
+//    diffs the membership snapshot it last synced against the current one
+//    and moves only the changed assignments -- the bytes-moved metric
+//    bench/ablation_placement_map compares across policies.  Under the
+//    membership-blind per-plane policy nothing ever moves, and the audit is
+//    a plain refill of lost copies.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,6 @@
 #include "faults/schedule.hpp"
 #include "lsn/starlink.hpp"
 #include "spacecdn/fleet.hpp"
-#include "spacecdn/placement.hpp"
 #include "spacecdn/placement_map.hpp"
 
 namespace spacecdn::space {
@@ -96,10 +95,10 @@ struct RepairReport {
   std::uint64_t ground_refills = 0;    ///< restored from the ground origin
   std::uint64_t unrepairable = 0;      ///< slot offline; deferred to a later scan
   /// Copies re-positioned because a membership delta re-routed their
-  /// assignment (map mode; subset of re_replicated + ground_refills).
+  /// assignment (subset of re_replicated + ground_refills).
   std::uint64_t moved = 0;
-  /// Stale copies dropped from satellites an object no longer maps to (map
-  /// mode; local deletes, no network cost).
+  /// Stale copies dropped from satellites an object no longer maps to
+  /// (local deletes, no network cost).
   std::uint64_t evicted_stale = 0;
   /// Repair traffic injected into the constellation: megabytes of every
   /// copy (or erasure fragment) the daemon installed.
@@ -108,19 +107,15 @@ struct RepairReport {
   RepairReport& operator+=(const RepairReport& other) noexcept;
 };
 
-/// Detects and repairs under-replication against a ContentPlacement.
+/// Detects and repairs under-replication against a PlacementMap.
 class RepairDaemon {
  public:
+  /// Each scan moves only the (object, slot) assignments that changed since
+  /// the membership snapshot it last synced -- plus crash-lost copies -- and
+  /// evicts stale copies from satellites an object no longer maps to.  The
+  /// map must outlive the daemon.
   /// @param catalog  the objects whose placement invariant the daemon
   /// guards; copied so the daemon owns its audit list.
-  RepairDaemon(SatelliteFleet& fleet, const ContentPlacement& placement,
-               std::vector<cdn::ContentItem> catalog, RepairConfig config = {});
-
-  /// Map-mode daemon: audits a PlacementMap in delta mode.  Each scan moves
-  /// only the (object, slot) assignments that changed since the membership
-  /// snapshot it last synced -- plus crash-lost copies -- and evicts stale
-  /// copies from satellites an object no longer maps to.  The map must
-  /// outlive the daemon.
   RepairDaemon(SatelliteFleet& fleet, const PlacementMap& map,
                std::vector<cdn::ContentItem> catalog, RepairConfig config = {});
 
@@ -157,22 +152,17 @@ class RepairDaemon {
  private:
   /// Whether every object with `sat` in its replica set is present there.
   [[nodiscard]] bool fully_replicated_on(std::uint32_t sat) const;
-  /// Holders of `id` under the daemon's current placement source.
-  [[nodiscard]] std::vector<std::uint32_t> current_replicas(cdn::ContentId id) const;
-  void audit_placement(Milliseconds now, RepairReport& report);
-  void audit_map(Milliseconds now, RepairReport& report);
 
   SatelliteFleet* fleet_;
-  const ContentPlacement* placement_ = nullptr;
-  const PlacementMap* map_ = nullptr;
+  const PlacementMap* map_;
   std::vector<cdn::ContentItem> catalog_;
   RepairConfig config_;
   RepairReport totals_;
   std::uint64_t scans_ = 0;
   std::vector<std::pair<std::uint32_t, Milliseconds>> open_crashes_;
   des::SampleSet time_to_repair_;
-  // Delta-repair state (map mode): the membership snapshot the fleet's cache
-  // contents were last reconciled against.
+  // Delta-repair state: the membership snapshot the fleet's cache contents
+  // were last reconciled against.
   std::vector<bool> synced_live_;
   std::uint64_t synced_version_ = 0;
 };

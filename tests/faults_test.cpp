@@ -198,6 +198,39 @@ TEST_F(ChurnControllerTest, CacheCrashDropsContents) {
   EXPECT_EQ(controller_.counters().cache_restores, 1u);
 }
 
+TEST_F(ChurnControllerTest, PerPlaneRepairMovesAndEvictsNothing) {
+  // The per-plane policy ignores membership: a satellite failure and its
+  // recovery bump the map's version, yet every holder set stays put, so the
+  // delta audit finds nothing to move or evict -- the dark holder is simply
+  // deferred until it returns.
+  space::PlacementMap map(network_.constellation(),
+                          {.policy = space::PlacementPolicy::kPerPlane, .replicas = 2});
+  std::vector<cdn::ContentItem> catalog;
+  for (cdn::ContentId id = 0; id < 20; ++id) {
+    catalog.push_back({id, Megabytes{2.0}, data::Region::kEurope});
+    map.place(fleet_, catalog.back(), Milliseconds{0.0});
+  }
+  controller_.set_membership(&map.membership());
+  space::RepairDaemon daemon(fleet_, map, catalog, {});
+  const auto holders = map.replicas(0);
+  const std::uint32_t victim = holders.front();
+
+  controller_.apply(event(Component::kSatellite, Transition::kFail, victim));
+  EXPECT_FALSE(map.membership().live(victim));
+  EXPECT_EQ(map.replicas(0), holders);
+  const auto down = daemon.run_once(Milliseconds{10.0});
+  EXPECT_GT(down.unrepairable, 0u);
+
+  controller_.apply(event(Component::kSatellite, Transition::kRecover, victim));
+  EXPECT_TRUE(map.membership().live(victim));
+  const auto up = daemon.run_once(Milliseconds{20.0});
+  EXPECT_EQ(up.under_replicated, 0u);
+  for (const space::RepairReport& report : {down, up}) {
+    EXPECT_EQ(report.moved, 0u);
+    EXPECT_EQ(report.evicted_stale, 0u);
+  }
+}
+
 TEST(RepairDaemon, RestoresReplicasFromSurvivingHolders) {
   const orbit::WalkerConstellation shell(orbit::test_shell());
   space::SatelliteFleet fleet(shell.size(), space::FleetConfig{Megabytes{1000.0},

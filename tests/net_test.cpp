@@ -1,4 +1,4 @@
-// Unit tests for the net module: graph/routing, link models, TCP, DNS,
+// Unit tests for the net module: graph/routing, bufferbloat, TCP, DNS,
 // anycast.
 #include <gtest/gtest.h>
 
@@ -145,23 +145,6 @@ TEST(Bfs, HopOrderIsBreadthFirst) {
     EXPECT_GE(within[i].hops, within[i - 1].hops);
   }
   EXPECT_EQ(within.size(), 4u);
-}
-
-TEST(Queueing, GrowsWithUtilisation) {
-  const QueueingModel q(Milliseconds{1.0}, Milliseconds{100.0});
-  EXPECT_DOUBLE_EQ(q.expected_delay(0.0).value(), 0.0);
-  EXPECT_NEAR(q.expected_delay(0.5).value(), 1.0, 1e-9);
-  EXPECT_NEAR(q.expected_delay(0.9).value(), 9.0, 1e-9);
-  EXPECT_DOUBLE_EQ(q.expected_delay(1.0).value(), 100.0);  // capped
-  EXPECT_THROW((void)q.expected_delay(1.5), ConfigError);
-}
-
-TEST(Queueing, SamplesRespectCap) {
-  const QueueingModel q(Milliseconds{5.0}, Milliseconds{50.0});
-  des::Rng rng(1);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_LE(q.sample_delay(0.95, rng).value(), 50.0);
-  }
 }
 
 TEST(Bufferbloat, QuadraticInLoad) {

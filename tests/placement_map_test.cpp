@@ -1,6 +1,6 @@
-// Unit tests for the jump-hash placement map: hash movement properties,
-// versioned membership, orbit-aware replica diversity, erasure accounting,
-// and the RepairDaemon's delta-repair mode.
+// Unit tests for the placement map: hash movement properties, versioned
+// membership, orbit-aware replica diversity, erasure accounting, the pinned
+// per-plane holder order, and the RepairDaemon's delta repair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 
 #include "data/datasets.hpp"
 #include "des/random.hpp"
+#include "des/stats.hpp"
 #include "orbit/walker.hpp"
 #include "spacecdn/fleet.hpp"
 #include "spacecdn/placement_map.hpp"
@@ -59,6 +60,12 @@ TEST(JumpHash, GrowthMovesKeysOnlyToTheNewBucket) {
 }
 
 TEST(PlacementMapConfigTest, PolicyAndDiversityParsing) {
+  for (const PlacementPolicy policy :
+       {PlacementPolicy::kPerPlane, PlacementPolicy::kBaseline, PlacementPolicy::kJump,
+        PlacementPolicy::kJumpEc}) {
+    EXPECT_EQ(parse_placement_policy(std::string(to_string(policy))), policy);
+  }
+  EXPECT_EQ(parse_placement_policy("per-plane"), PlacementPolicy::kPerPlane);
   EXPECT_EQ(parse_placement_policy("baseline"), PlacementPolicy::kBaseline);
   EXPECT_EQ(parse_placement_policy("jump"), PlacementPolicy::kJump);
   EXPECT_EQ(parse_placement_policy("jump-ec"), PlacementPolicy::kJumpEc);
@@ -211,6 +218,35 @@ TEST(PlacementMapTest, PlaceInsertsIntoEveryHolder) {
   map.place(fleet, item(42), kNow);
   for (const std::uint32_t sat : map.replicas(42)) {
     EXPECT_TRUE(fleet.cache(sat).contains(42));
+  }
+}
+
+TEST(PlacementMapTest, PerPlaneHolderOrderIsPinned) {
+  // FNV-1a over the holder lists of ids 0..999, recorded from the standalone
+  // k-copies-per-plane implementation this policy replaced.  The order is
+  // load-bearing: prewarm inserts in holder order, so it drives LRU state
+  // and through it every published load checksum.
+  struct Golden {
+    const char* preset;
+    std::uint32_t copies;
+    std::uint32_t stride;
+    std::uint64_t digest;
+  };
+  for (const Golden& g : {Golden{"shell1", 4, 1, 0x54c50c9ce16ca04dULL},
+                          Golden{"starlink-4shell", 4, 8, 0x8b01f41897192fb4ULL}}) {
+    const orbit::WalkerConstellation c(orbit::multi_shell_preset(g.preset));
+    const PlacementMap map(c, {.policy = PlacementPolicy::kPerPlane,
+                               .replicas = g.copies,
+                               .plane_stride = g.stride});
+    des::Fnv1aChecksum sum;
+    for (cdn::ContentId id = 0; id < 1000; ++id) {
+      const auto holders = map.replicas(id);
+      ASSERT_EQ(holders.size(), map.placements_per_object()) << g.preset;
+      for (const std::uint32_t sat : holders) sum.add(static_cast<double>(sat));
+    }
+    EXPECT_EQ(sum.digest(), g.digest) << g.preset;
+    EXPECT_EQ(map.min_live_for_read(), 1u);
+    EXPECT_DOUBLE_EQ(map.stored_bytes(item(1)).value(), item(1).size.value());
   }
 }
 

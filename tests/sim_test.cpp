@@ -20,6 +20,8 @@
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
 #include "sim/world.hpp"
+#include "spacecdn/placement.hpp"
+#include "spacecdn/router.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -160,11 +162,15 @@ TEST(ScenarioValuesTest, SeedReseedsAimUnlessPinned) {
 
 TEST(ScenarioValuesTest, UnusedReportsTypos) {
   sim::ScenarioSpec spec;
-  const sim::ScenarioValues values({{"tets-per-city", "1"}, {"threads", "2"}}, {});
+  // `placement` is no scenario key: the policy is chosen in code, so the
+  // key must reach the unknown-flag warning instead of being swallowed.
+  const sim::ScenarioValues values(
+      {{"tets-per-city", "1"}, {"threads", "2"}, {"placement", "jump"}}, {});
   values.apply(spec);
   const auto unused = values.unused();
-  ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused.front(), "tets-per-city");
+  ASSERT_EQ(unused.size(), 2u);
+  EXPECT_EQ(unused[0], "placement");
+  EXPECT_EQ(unused[1], "tets-per-city");
 }
 
 TEST(ScenarioValuesTest, ApplySetsResilienceAndChaosFields) {
@@ -328,6 +334,37 @@ TEST(WorldTest, ChurnConfigMirrorsSpec) {
   EXPECT_TRUE(churn.cache_node.enabled());
   EXPECT_FALSE(churn.ground_station.enabled());  // default spec disables it
   EXPECT_FALSE(churn.laser_terminal.enabled());
+}
+
+TEST(WorldTest, PlacedContentBeatsGroundAfterSetTime) {
+  // End to end over World's parts, off the epoch: an object placed 4 copies
+  // per plane is served from orbit at under half the RTT of an unplaced one,
+  // which falls through to the ground CDN.
+  const sim::World& world = sim::shared_world();
+  const auto network =
+      world.make_network(lsn::starlink_preset(world.spec().constellation));
+  network->set_time(Milliseconds::from_minutes(3.0));
+  EXPECT_DOUBLE_EQ(network->time().value(), 180000.0);
+  space::SatelliteFleet fleet = world.make_fleet();
+  cdn::CdnDeployment ground = world.make_ground_cdn();
+  space::SpaceCdnRouter router(*network, fleet, ground, {.admit_on_fetch = false});
+  const cdn::ContentItem placed{99, Megabytes{25.0}, data::Region::kAfrica};
+  const cdn::ContentItem unplaced{123, Megabytes{5.0}, data::Region::kAfrica};
+  space::ContentPlacement(network->constellation(), {}).place(fleet, placed,
+                                                              network->time());
+
+  const data::CityInfo& city = data::city("Maputo");
+  const data::CountryInfo& country = data::country(city.country_code);
+  des::Rng rng(15);
+  const auto space_fetch =
+      router.fetch(data::location(city), country, placed, rng, network->time());
+  const auto ground_fetch =
+      router.fetch(data::location(city), country, unplaced, rng, network->time());
+  ASSERT_TRUE(space_fetch.has_value());
+  ASSERT_TRUE(ground_fetch.has_value());
+  EXPECT_NE(space_fetch->tier, space::FetchTier::kGround);
+  EXPECT_EQ(ground_fetch->tier, space::FetchTier::kGround);
+  EXPECT_LT(space_fetch->rtt.value(), ground_fetch->rtt.value() / 2.0);
 }
 
 TEST(WorldTest, SharedWorldIsProcessWideDefaultScenario) {

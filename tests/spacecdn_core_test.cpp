@@ -12,7 +12,6 @@
 #include "spacecdn/lookup.hpp"
 #include "spacecdn/placement.hpp"
 #include "spacecdn/router.hpp"
-#include "spacecdn/spacecdn.hpp"
 #include "spacecdn/striping.hpp"
 #include "util/error.hpp"
 
@@ -498,53 +497,6 @@ TEST(Bubbles, CrossingRegionsSwapsContent) {
   EXPECT_EQ(resident_eu, 100u);
   // ...and foreign unpopular objects were evicted rather than accumulated.
   EXPECT_LE(fleet.cache(0).object_count(), na_stats + 100);
-}
-
-TEST(Facade, PublishFetchRoundTrip) {
-  SpaceCdnConfig cfg;
-  cfg.fleet.capacity_per_satellite = Megabytes{1000.0};
-  SpaceCdn spacecdn(cfg);
-  des::Rng rng(15);
-  const cdn::ContentItem obj = item(99, 25.0);
-  spacecdn.publish(obj);
-  const auto result = spacecdn.fetch("Maputo", obj, rng);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_NE(result->tier, FetchTier::kGround);  // replicas are in orbit
-  const auto baseline = spacecdn.bent_pipe_baseline("Maputo");
-  ASSERT_TRUE(baseline.has_value());
-  EXPECT_LT(result->rtt.value(), baseline->value() / 2.0);
-}
-
-TEST(Facade, UnpublishedContentFallsToGround) {
-  SpaceCdnConfig cfg;
-  cfg.fleet.capacity_per_satellite = Megabytes{1000.0};
-  cfg.router.admit_on_fetch = false;
-  SpaceCdn spacecdn(cfg);
-  des::Rng rng(16);
-  const auto result = spacecdn.fetch("Tokyo", item(123, 5.0), rng);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->tier, FetchTier::kGround);
-}
-
-TEST(Facade, SetTimeAdvancesNetwork) {
-  SpaceCdnConfig cfg;
-  cfg.fleet.capacity_per_satellite = Megabytes{1000.0};
-  SpaceCdn spacecdn(cfg);
-  spacecdn.set_time(Milliseconds::from_minutes(3.0));
-  EXPECT_DOUBLE_EQ(spacecdn.time().value(), 180000.0);
-  // Fetch still works against the new topology.
-  des::Rng rng(17);
-  const cdn::ContentItem obj = item(7, 5.0);
-  spacecdn.publish(obj);
-  EXPECT_TRUE(spacecdn.fetch("London", obj, rng).has_value());
-}
-
-TEST(Facade, UnknownCityThrows) {
-  SpaceCdnConfig cfg;
-  cfg.fleet.capacity_per_satellite = Megabytes{1000.0};
-  SpaceCdn spacecdn(cfg);
-  des::Rng rng(18);
-  EXPECT_THROW((void)spacecdn.fetch("Atlantis", item(1, 1.0), rng), NotFoundError);
 }
 
 }  // namespace
