@@ -66,12 +66,8 @@ ChurnRunResult run_churn(const sim::World& world, Milliseconds mtbf, Millisecond
   // Pre-seed the paper's 4-copies-per-plane placement; the repair daemon
   // guards exactly this invariant for the whole catalog.
   const space::ContentPlacement placement(network.constellation(), {});
-  std::vector<cdn::ContentItem> items;
-  items.reserve(catalog.size());
-  for (cdn::ContentId id = 0; id < catalog.size(); ++id) {
-    items.push_back(catalog.item(id));
-    placement.place(fleet, items.back(), Milliseconds{0.0});
-  }
+  const std::vector<cdn::ContentItem>& items = catalog.items();
+  placement.prewarm(fleet, items, Milliseconds{0.0});
 
   // Fault timeline: satellite outages and cache crashes follow the swept
   // (MTBF, MTTR); laser flaps and gateway outages stay at fixed paper-scale

@@ -116,9 +116,7 @@ int main(int argc, char** argv) {
   space::SpaceCdnRouter router(network, fleet, ground, {.admit_on_fetch = false});
 
   const space::ContentPlacement placement(network.constellation(), {});
-  for (cdn::ContentId id = 0; id < catalog.size(); ++id) {
-    placement.place(fleet, catalog.item(id), Milliseconds{0.0});
-  }
+  placement.prewarm(fleet, catalog.items(), Milliseconds{0.0});
 
   Workload w;
   w.network = &network;

@@ -155,8 +155,21 @@ std::uint32_t SlotListCache::free_pos(ContentId id) const noexcept {
   return static_cast<std::uint32_t>(pos);
 }
 
+void SlotListCache::reserve(std::uint64_t objects) {
+  slots_.reserve(objects);
+  if (2 * objects <= index_.size()) return;
+  // The size insert() would have grown the table to by the time it holds
+  // `objects`: the first power of two from kInitialIndexSize at <= 1/2 load.
+  std::size_t size = index_.empty() ? kInitialIndexSize : index_.size();
+  while (size < 2 * objects) size *= 2;
+  rebuild_index(size);
+}
+
 void SlotListCache::grow_index() {
-  const std::size_t size = index_.empty() ? kInitialIndexSize : 2 * index_.size();
+  rebuild_index(index_.empty() ? kInitialIndexSize : 2 * index_.size());
+}
+
+void SlotListCache::rebuild_index(std::size_t size) {
   index_.assign(size, kNone);
   index_shift_ = 64 - std::countr_zero(size);
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {

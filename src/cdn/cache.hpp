@@ -71,6 +71,12 @@ class Cache {
 
   [[nodiscard]] virtual std::uint64_t object_count() const = 0;
 
+  /// Pre-sizes storage for `objects` resident objects, so a known fill
+  /// (e.g. a placement prewarm) grows it once.  A hint only: it changes no
+  /// result, stat or eviction order, and never shrinks storage.  The
+  /// default does nothing.
+  virtual void reserve(std::uint64_t objects) { (void)objects; }
+
   [[nodiscard]] Megabytes capacity() const noexcept { return capacity_; }
   [[nodiscard]] Megabytes used() const noexcept { return used_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
@@ -120,6 +126,7 @@ class SlotListCache : public Cache {
   bool erase(ContentId id) final;
   void clear() final;
   [[nodiscard]] std::uint64_t object_count() const final { return count_; }
+  void reserve(std::uint64_t objects) final;
 
  protected:
   SlotListCache(Megabytes capacity, bool refresh_on_use);
@@ -144,6 +151,9 @@ class SlotListCache : public Cache {
   [[nodiscard]] std::uint32_t free_pos(ContentId id) const noexcept;
   /// Doubles the table (or creates it) and re-indexes every live slot.
   void grow_index();
+  /// Replaces the table by one of `size` (a power of two) positions and
+  /// re-indexes every live slot.
+  void rebuild_index(std::size_t size);
   /// Drops the object at table position `pos`: frees its slot, unlinks it
   /// and closes the gap in the table.
   void remove(std::uint32_t pos);

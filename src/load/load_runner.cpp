@@ -63,8 +63,17 @@ LoadRunner::LoadRunner(lsn::StarlinkNetwork& network, space::SatelliteFleet& fle
   const auto& cities = traffic_.clients();
   city_country_.reserve(cities.size());
   city_location_.reserve(cities.size());
+  // data::country is a linear scan of the country table; clients of one
+  // city come in runs (synthetic users are generated city by city), so
+  // resolve a country only when the city changes.
+  const data::CityInfo* city = nullptr;
+  const data::CountryInfo* country = nullptr;
   for (const sim::Shell1Client& client : cities) {
-    city_country_.push_back(&data::country(client.city->country_code));
+    if (client.city != city) {
+      city = client.city;
+      country = &data::country(city->country_code);
+    }
+    city_country_.push_back(country);
     city_location_.push_back(sim::client_location(client));
   }
   setup_observability();
@@ -196,9 +205,7 @@ void LoadRunner::prepare() {
         {.policy = space::PlacementPolicy::kPerPlane,
          .replicas = config_.copies_per_plane,
          .plane_stride = config_.placement_plane_stride});
-    for (const cdn::ContentItem& item : traffic_.catalog().items()) {
-      placement.place(*fleet_, item, Milliseconds{0.0});
-    }
+    placement.prewarm(*fleet_, traffic_.catalog().items(), Milliseconds{0.0});
   }
 
   // The fault timeline runs *inside* the event loop: outages land between

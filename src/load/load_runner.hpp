@@ -184,8 +184,10 @@ class LoadRunner {
   /// before run(); e.g. feed a faults-style degradation policy.
   void set_reject_hook(AdmissionController::RejectHook hook);
 
-  /// Stage 1 of a run: prewarms placement, installs the fault schedule and
-  /// observability producers, and schedules every client's first arrival.
+  /// Stage 1 of a run: prewarms placement (PlacementMap::prewarm, one
+  /// satellite cache at a time; each cache sees the catalog in order),
+  /// installs the fault schedule and observability producers, and
+  /// schedules every client's first arrival.
   /// After this the engine is ready to run; call collect() once it drains.
   void prepare();
 

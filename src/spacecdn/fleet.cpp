@@ -87,6 +87,7 @@ cdn::CacheStats SatelliteFleet::aggregate_stats() const noexcept {
     total.misses += c->stats().misses;
     total.insertions += c->stats().insertions;
     total.evictions += c->stats().evictions;
+    total.rejected_oversized += c->stats().rejected_oversized;
   }
   return total;
 }

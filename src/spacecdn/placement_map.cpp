@@ -26,6 +26,22 @@ std::uint64_t probe_key(cdn::ContentId id, std::uint32_t slot,
   return des::mix_seed(des::mix_seed(id, slot), attempt);
 }
 
+// The kPerPlane layout, shared by pick_per_plane and prewarm so the two
+// cannot drift.  Copy 0 of `id` in global plane `plane` of `size` satellites
+// sits at a per-object, per-plane rotation, so replicas of different objects
+// do not pile onto the same satellites ...
+std::uint32_t per_plane_rotation(cdn::ContentId id, std::uint32_t plane,
+                                 std::uint32_t size) {
+  return static_cast<std::uint32_t>(mix(id * 1315423911ULL + plane) % size);
+}
+
+// ... and copy `copy` of `copies` is spaced evenly from it (the slots are
+// distinct because copies <= size, which the constructor checks).
+std::uint32_t per_plane_slot(std::uint32_t rotation, std::uint32_t copy,
+                             std::uint32_t copies, std::uint32_t size) {
+  return (rotation + copy * size / copies) % size;
+}
+
 }  // namespace
 
 std::uint32_t jump_consistent_hash(std::uint64_t key, std::uint32_t buckets) noexcept {
@@ -198,17 +214,16 @@ void PlacementMap::pick_per_plane(cdn::ContentId id,
                                   std::vector<std::uint32_t>& out) const {
   // Planes are addressed globally across shells, so every shell of a
   // multi-shell constellation receives replicas.  The holder order is part
-  // of the contract: prewarm inserts in this order, and the resulting LRU
-  // state feeds every published load checksum.
+  // of the contract (replicas() callers and RepairDaemon read it); the cache
+  // contents only depend on each cache seeing its items in catalog order,
+  // which prewarm() keeps.
   const std::uint32_t planes = constellation_->plane_count();
   const std::uint32_t copies = config_.replicas;
   for (std::uint32_t p = 0; p < planes; p += config_.plane_stride) {
     const std::uint32_t s = constellation_->plane_size(p);
-    // Per-object, per-plane rotation so replicas of different objects do not
-    // pile onto the same satellites.
-    const auto rotation = static_cast<std::uint32_t>(mix(id * 1315423911ULL + p) % s);
+    const std::uint32_t rotation = per_plane_rotation(id, p, s);
     for (std::uint32_t c = 0; c < copies; ++c) {
-      out.push_back(constellation_->plane_sat(p, (rotation + c * s / copies) % s));
+      out.push_back(constellation_->plane_sat(p, per_plane_slot(rotation, c, copies, s)));
     }
   }
 }
@@ -271,6 +286,52 @@ void PlacementMap::place(SatelliteFleet& fleet, const cdn::ContentItem& item,
   stored.size = stored_bytes(item);
   for (std::uint32_t sat : replicas(item.id)) {
     (void)fleet.cache(sat).insert(stored, now);
+  }
+}
+
+void PlacementMap::prewarm(SatelliteFleet& fleet,
+                           const std::vector<cdn::ContentItem>& items,
+                           Milliseconds now) const {
+  SPACECDN_EXPECT(config_.policy == PlacementPolicy::kPerPlane,
+                  "prewarm needs the per-plane policy; place other policies "
+                  "item by item");
+  SPACECDN_EXPECT(items.size() <= UINT32_MAX, "catalog too large to prewarm");
+  const std::uint32_t copies = config_.replicas;
+  const auto n = static_cast<std::uint32_t>(items.size());
+  std::vector<std::uint32_t> rotation(n);
+  std::vector<std::uint32_t> start;  // per-slot bucket offsets
+  std::vector<std::uint32_t> bucketed(static_cast<std::size_t>(n) * copies);
+  const std::uint32_t planes = constellation_->plane_count();
+  for (std::uint32_t p = 0; p < planes; p += config_.plane_stride) {
+    const std::uint32_t s = constellation_->plane_size(p);
+    // Counting sort of (item, copy) pairs by in-plane slot.  Filling in
+    // catalog order keeps every bucket in catalog order, so each cache sees
+    // the insert sequence the per-item place() loop gives it.
+    start.assign(s + 1, 0);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      rotation[i] = per_plane_rotation(items[i].id, p, s);
+      for (std::uint32_t c = 0; c < copies; ++c) {
+        ++start[per_plane_slot(rotation[i], c, copies, s) + 1];
+      }
+    }
+    for (std::uint32_t k = 0; k < s; ++k) start[k + 1] += start[k];
+    for (std::uint32_t i = 0; i < n; ++i) {
+      for (std::uint32_t c = 0; c < copies; ++c) {
+        // start[slot] doubles as the bucket's fill cursor ...
+        bucketed[start[per_plane_slot(rotation[i], c, copies, s)]++] = i;
+      }
+    }
+    // ... so afterwards bucket k ends at start[k] and begins at start[k - 1].
+    std::uint32_t begin = 0;
+    for (std::uint32_t k = 0; k < s; ++k) {
+      cdn::Cache& cache = fleet.cache(constellation_->plane_sat(p, k));
+      cache.reserve(start[k] - begin);
+      // A per-plane holder stores the whole object (stored_bytes == size).
+      for (std::uint32_t j = begin; j < start[k]; ++j) {
+        (void)cache.insert(items[bucketed[j]], now);
+      }
+      begin = start[k];
+    }
   }
 }
 

@@ -184,6 +184,19 @@ class PlacementMap {
   void place(SatelliteFleet& fleet, const cdn::ContentItem& item,
              Milliseconds now) const;
 
+  /// kPerPlane only: places a whole catalog, leaving every cache exactly as
+  /// calling place() on each item in catalog order would -- each cache sees
+  /// its items in catalog order, so every recency/frequency state and stat
+  /// is the same.  It fills one satellite at a time instead of scattering
+  /// each item over all its holders: plane by plane, the items are
+  /// counting-sorted into the plane's in-plane slots, and each slot's cache
+  /// is reserve()d for its bucket and then filled.  Working memory is one
+  /// plane's buckets, reused across planes.
+  /// @throws spacecdn::ConfigError under any other policy (their holders do
+  /// not group by plane; place item by item there).
+  void prewarm(SatelliteFleet& fleet, const std::vector<cdn::ContentItem>& items,
+               Milliseconds now) const;
+
   /// Per-satellite assignment-count skew over a catalog prefix [0, size):
   /// mean, p99, and max of placements per *live* satellite.  Uniformity is
   /// the placement-quality half of the DAOS pl_bench measurement.

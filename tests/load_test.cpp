@@ -445,6 +445,21 @@ TEST(LoadRunner, SameSeedIsBitIdenticalAndSeedsMatter) {
   EXPECT_NE(a.offered, c.offered);  // different arrival streams
 }
 
+TEST(LoadRunner, UnknownClientCountryThrows) {
+  // The constructor resolves a country once per run of same-city clients; a
+  // city whose country code is not in the table must still fail it.
+  sim::World world(load_test_spec());
+  static constexpr data::CityInfo kNowhere{"Nowhere", "ZZ", 0.0, 0.0, 100.0};
+  std::vector<sim::Shell1Client> clients = world.clients();
+  ASSERT_GE(clients.size(), 2u);
+  clients.insert(clients.begin() + 1, sim::Shell1Client{&kNowhere, clients.size()});
+  space::SatelliteFleet fleet = world.make_fleet();
+  cdn::CdnDeployment ground = world.make_ground_cdn();
+  const load::LoadConfig config = load::load_config_from_spec(world.spec());
+  EXPECT_THROW((load::LoadRunner(world.network(), fleet, ground, clients, config)),
+               NotFoundError);
+}
+
 TEST(LoadRunner, ReportIsInternallyConsistent) {
   sim::World world(load_test_spec());
   const load::LoadConfig config = load::load_config_from_spec(world.spec());

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "cdn/cache.hpp"
 #include "data/datasets.hpp"
 #include "des/random.hpp"
 #include "des/stats.hpp"
@@ -223,9 +224,9 @@ TEST(PlacementMapTest, PlaceInsertsIntoEveryHolder) {
 
 TEST(PlacementMapTest, PerPlaneHolderOrderIsPinned) {
   // FNV-1a over the holder lists of ids 0..999, recorded from the standalone
-  // k-copies-per-plane implementation this policy replaced.  The order is
-  // load-bearing: prewarm inserts in holder order, so it drives LRU state
-  // and through it every published load checksum.
+  // k-copies-per-plane implementation this policy replaced.  The holder sets
+  // drive every prewarmed cache and through it every published load
+  // checksum; the order is what replicas() callers and repair audits read.
   struct Golden {
     const char* preset;
     std::uint32_t copies;
@@ -248,6 +249,104 @@ TEST(PlacementMapTest, PerPlaneHolderOrderIsPinned) {
     EXPECT_EQ(map.min_live_for_read(), 1u);
     EXPECT_DOUBLE_EQ(map.stored_bytes(item(1)).value(), item(1).size.value());
   }
+}
+
+// Compares two fleets cache by cache: object count, exact `used`, every
+// stats counter and, for every cache that holds anything, presence of each
+// catalog id.
+void expect_same_fleets(const SatelliteFleet& want, const SatelliteFleet& got,
+                        cdn::ContentId catalog, const std::string& label) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::uint32_t sat = 0; sat < want.size(); ++sat) {
+    const cdn::Cache& a = want.cache(sat);
+    const cdn::Cache& b = got.cache(sat);
+    ASSERT_EQ(a.object_count(), b.object_count()) << label << " sat " << sat;
+    ASSERT_EQ(a.used().value(), b.used().value()) << label << " sat " << sat;
+    ASSERT_EQ(a.stats().hits, b.stats().hits) << label << " sat " << sat;
+    ASSERT_EQ(a.stats().misses, b.stats().misses) << label << " sat " << sat;
+    ASSERT_EQ(a.stats().insertions, b.stats().insertions) << label << " sat " << sat;
+    ASSERT_EQ(a.stats().evictions, b.stats().evictions) << label << " sat " << sat;
+    ASSERT_EQ(a.stats().rejected_oversized, b.stats().rejected_oversized)
+        << label << " sat " << sat;
+    if (a.object_count() == 0) continue;
+    for (cdn::ContentId id = 0; id < catalog; ++id) {
+      ASSERT_EQ(a.contains(id), b.contains(id))
+          << label << " sat " << sat << " id " << id;
+    }
+  }
+}
+
+TEST(PlacementMapTest, PrewarmMatchesPerItemPlace) {
+  // prewarm() fills satellite by satellite; place() item by item.  Each
+  // cache must end in the same state, down to recency order: the fill
+  // evicts (capacity ~1/4 of what a satellite is offered, plus ~1% oversized
+  // objects), and a seeded access/insert stream afterwards exposes the
+  // recency order through the objects each cache evicts next.
+  constexpr cdn::ContentId kItems = 1200;
+  constexpr int kOps = 10'000;
+  des::Rng catalog_rng(2024);
+  std::vector<cdn::ContentItem> catalog;
+  for (cdn::ContentId id = 0; id < kItems; ++id) {
+    const bool oversized = catalog_rng.uniform(0.0, 1.0) < 0.01;
+    catalog.push_back(item(id, oversized ? 1e6 : catalog_rng.uniform(1.0, 10.0)));
+  }
+  struct Layout {
+    const char* preset;
+    std::uint32_t stride;
+  };
+  for (const Layout& layout : {Layout{"shell1", 1}, Layout{"shell1", 8},
+                               Layout{"starlink-4shell", 8}}) {
+    const orbit::WalkerConstellation c(orbit::multi_shell_preset(layout.preset));
+    for (const std::uint32_t copies : {1u, 4u}) {
+      const PlacementMap map(c, {.policy = PlacementPolicy::kPerPlane,
+                                 .replicas = copies,
+                                 .plane_stride = layout.stride});
+      for (const cdn::CachePolicy policy :
+           {cdn::CachePolicy::kLru, cdn::CachePolicy::kFifo, cdn::CachePolicy::kLfu}) {
+        const std::string label = std::string(layout.preset) + " stride " +
+                                  std::to_string(layout.stride) + " copies " +
+                                  std::to_string(copies) + " " +
+                                  std::string(cdn::to_string(policy));
+        const FleetConfig fleet_cfg{.capacity_per_satellite = Megabytes{80.0 * copies},
+                                    .policy = policy};
+        SatelliteFleet by_item(c.size(), fleet_cfg);
+        SatelliteFleet by_sat(c.size(), fleet_cfg);
+        for (const cdn::ContentItem& it : catalog) map.place(by_item, it, kNow);
+        map.prewarm(by_sat, catalog, kNow);
+        ASSERT_GT(by_item.aggregate_stats().evictions, 0u) << label;
+        ASSERT_GT(by_item.aggregate_stats().rejected_oversized, 0u) << label;
+        expect_same_fleets(by_item, by_sat, kItems, label + " after fill");
+
+        des::Rng ops(7);
+        for (int op = 0; op < kOps; ++op) {
+          const cdn::ContentItem& it = catalog[ops.uniform_int(0, kItems - 1)];
+          const std::vector<std::uint32_t> holders = map.replicas(it.id);
+          const std::uint32_t sat = holders[ops.uniform_int(0, holders.size() - 1)];
+          if (ops.uniform(0.0, 1.0) < 0.6) {
+            ASSERT_EQ(by_item.cache(sat).access(it.id, kNow),
+                      by_sat.cache(sat).access(it.id, kNow))
+                << label << " op " << op;
+          } else {
+            ASSERT_EQ(by_item.cache(sat).insert(it, kNow),
+                      by_sat.cache(sat).insert(it, kNow))
+                << label << " op " << op;
+          }
+        }
+        expect_same_fleets(by_item, by_sat, kItems, label + " after stream");
+      }
+    }
+  }
+}
+
+TEST(PlacementMapTest, PrewarmRejectsOtherPolicies) {
+  SatelliteFleet fleet(shell1().size(), {});
+  const std::vector<cdn::ContentItem> catalog{item(1), item(2)};
+  for (const PlacementPolicy policy :
+       {PlacementPolicy::kBaseline, PlacementPolicy::kJump, PlacementPolicy::kJumpEc}) {
+    const PlacementMap map(shell1(), {.policy = policy});
+    EXPECT_THROW(map.prewarm(fleet, catalog, kNow), ConfigError) << to_string(policy);
+  }
+  EXPECT_EQ(fleet.aggregate_stats().insertions, 0u);
 }
 
 TEST(PlacementMapTest, LoadSkewAndHopStats) {

@@ -107,9 +107,13 @@ class ReferenceFifo : public ReferenceCache {
 // deletion), a mid-stream clear() and ~1% oversized ids ride along.  Every
 // operation must agree on its result, the object count, the exact `used`
 // total and every stats counter; presence is compared id by id every 2,500
-// operations.
+// operations.  With `with_reserve`, Cache::reserve is also called at points
+// drawn from a second stream (so the operations stay the same): 0, below
+// the current count, just above it, right after the clear() and up to
+// 8,192 objects.  The reference model knows no reserve, so every check
+// above must still hold.
 template <typename CacheT, typename ReferenceT>
-void expect_matches_reference(std::uint64_t seed) {
+void expect_matches_reference(std::uint64_t seed, bool with_reserve = false) {
   constexpr double kCapacity = 4000.0;
   constexpr cdn::ContentId kIds = 5000;
   constexpr int kOps = 50000;
@@ -121,7 +125,16 @@ void expect_matches_reference(std::uint64_t seed) {
   for (double& mb : sizes) {
     mb = rng.uniform(0.0, 1.0) < 0.01 ? kCapacity * 1.5 : rng.uniform(1.0, 6.0);
   }
+  des::Rng reserve_rng(seed + 1);
+  int reserves = 0;
   for (int op = 0; op < kOps; ++op) {
+    if (with_reserve && (op == kOps / 2 + 1 || reserve_rng.uniform(0.0, 1.0) < 0.002)) {
+      const std::uint64_t count = cache.object_count();
+      const std::uint64_t targets[] = {0, count / 2, count + 1,
+                                       reserve_rng.uniform_int(count, 8192)};
+      cache.reserve(targets[reserve_rng.uniform_int(0, 3)]);
+      ++reserves;
+    }
     if (op == kOps / 2) {
       cache.clear();
       reference.clear();
@@ -166,6 +179,9 @@ void expect_matches_reference(std::uint64_t seed) {
   EXPECT_GT(reference.stats().evictions, 1000u);
   EXPECT_GT(reference.stats().rejected_oversized, 0u);
   EXPECT_GT(reference.stats().hits, 1000u);
+  if (with_reserve) {
+    EXPECT_GT(reserves, 50);
+  }
 }
 
 TEST(Differential, LruMatchesReferenceModel) {
@@ -174,6 +190,11 @@ TEST(Differential, LruMatchesReferenceModel) {
 
 TEST(Differential, FifoMatchesReferenceModel) {
   expect_matches_reference<cdn::FifoCache, ReferenceFifo>(202);
+}
+
+TEST(Differential, ReserveIsInvisible) {
+  expect_matches_reference<cdn::LruCache, ReferenceLru>(303, true);
+  expect_matches_reference<cdn::FifoCache, ReferenceFifo>(404, true);
 }
 
 TEST(Differential, EveryPolicyAgreesOnPresenceAfterColdInsert) {

@@ -11,10 +11,15 @@
 # `serial` / `parallel`; after both runs each such file pair is byte-compared
 # with cmp, extending the gate to on-disk artifacts (series/timeline files).
 #
+# With EXPECT set, the serial run must also print exactly one
+# `determinism checksum: 0x...` line, equal to EXPECT: agreement between the
+# two runs alone would pass a change that moved every checksum the same way.
+#
 # Usage: determinism_gate.sh <bench> [args...]
 # Env:   ARTIFACTS         captured-stdout directory (default: artifacts)
 #        LABEL             stem for the captured stdout files (default: bench)
 #        PARALLEL_THREADS  thread count for the parallel run (default: 4)
+#        EXPECT            published checksum (0x...) the serial run must print
 set -euo pipefail
 
 if [ "$#" -lt 1 ]; then
@@ -55,6 +60,15 @@ fi
 if [ "$serial" != "$parallel" ]; then
   echo "::error::$label checksums differ between --threads=1 and --threads=$threads"
   exit 1
+fi
+if [ -n "${EXPECT:-}" ]; then
+  published=$(grep -o 'determinism checksum: 0x[0-9a-f]*' \
+    "$artifacts/${label}_serial.txt" || true)
+  if [ "$published" != "determinism checksum: $EXPECT" ]; then
+    echo "::error::$label printed '${published:-<none>}', expected 'determinism checksum: $EXPECT'"
+    exit 1
+  fi
+  echo "published: $EXPECT"
 fi
 
 # Byte-compare every {T}-templated output file pair (strip a --flag= prefix).
