@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
         if (!std::isinf(dist[dst].value())) {
           ++reachable;
           paths.add(dist[dst].value());
+          runner.checksum().add(dist[dst].value());
         }
       }
     }
@@ -82,6 +83,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
   table.render(std::cout);
+
+  std::cout << "\ndeterminism checksum: " << runner.checksum().hex() << "\n";
 
   std::cout << "\nExpected shape: the 4-connected +grid degrades gracefully -- "
                "reachability stays near 100% and paths stretch only mildly "

@@ -13,6 +13,7 @@
 #include "load/capacity.hpp"
 #include "measurement/aim.hpp"
 #include "net/graph.hpp"
+#include "net/routing_cache.hpp"
 #include "orbit/ephemeris.hpp"
 #include "orbit/visibility_index.hpp"
 #include "orbit/walker.hpp"
@@ -259,6 +260,19 @@ void BM_SsspTreeHopReconstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_SsspTreeHopReconstruction);
 
+void BM_SsspTreeNearQuery(benchmark::State& state) {
+  // A routing-cache miss answered a few hops out: seed a fresh tree, then
+  // path_to a 3-hop neighbour.  The tree settles only that far, not the
+  // whole constellation.
+  const auto& isl = shell1().isl();
+  const net::NodeId near = isl.within_hops(7, 3)->back().node;
+  for (auto _ : state) {
+    const net::SsspTree tree(isl.graph(), 7);
+    benchmark::DoNotOptimize(tree.path_to(near));
+  }
+}
+BENCHMARK(BM_SsspTreeNearQuery);
+
 void BM_ParallelAimSweep(benchmark::State& state) {
   // Wall-clock of the full AIM campaign sharded over N workers; the serial
   // baseline is Arg(1).  Records the parallel-sweep speedup trajectory
@@ -327,8 +341,9 @@ void BM_SlantRangeBatch(benchmark::State& state) {
 BENCHMARK(BM_SlantRangeBatch);
 
 void BM_DijkstraCsr(benchmark::State& state) {
-  // Single-source Dijkstra over the flattened CSR adjacency (the relaxation
-  // loop every SsspTree build runs); rotates sources to defeat caching.
+  // Single-source Dijkstra over the flattened CSR adjacency (the full run
+  // of which an SsspTree settles a prefix); rotates sources to defeat
+  // caching.
   const net::Graph& graph = shell1().isl().graph();
   std::uint32_t src = 0;
   for (auto _ : state) {

@@ -57,33 +57,33 @@ void Graph::clear_edges() noexcept {
 
 void Graph::rebuild_csr() const {
   const std::size_t n = adjacency_.size();
-  csr_offsets_.assign(n + 1, 0);
-  csr_targets_.clear();
-  csr_targets_.reserve(edges_);
-  csr_weights_.clear();
-  csr_weights_.reserve(edges_);
+  auto csr = std::make_shared<CsrSnapshot>();
+  csr->offsets.assign(n + 1, 0);
+  csr->targets.reserve(edges_);
+  csr->weights.reserve(edges_);
   for (std::size_t u = 0; u < n; ++u) {
     // Flattening preserves per-node edge order, the property the queries
     // rely on for bit-exact relaxation order.
     for (const Edge& e : adjacency_[u]) {
-      csr_targets_.push_back(e.to);
-      csr_weights_.push_back(e.weight.value());
+      csr->targets.push_back(e.to);
+      csr->weights.push_back(e.weight.value());
     }
-    csr_offsets_[u + 1] = static_cast<std::uint32_t>(csr_targets_.size());
+    csr->offsets[u + 1] = static_cast<std::uint32_t>(csr->targets.size());
   }
+  csr_ = std::move(csr);
 }
 
-CsrView Graph::csr() const {
+std::shared_ptr<const CsrSnapshot> Graph::csr_snapshot() const {
   if (csr_dirty_.load(std::memory_order_acquire)) {
     const std::lock_guard lock(csr_mutex_);
     if (csr_dirty_.load(std::memory_order_relaxed)) {
       rebuild_csr();
-      // Publishes the rebuilt arrays: a reader whose acquire load above sees
-      // `false` also sees every write rebuild_csr made.
+      // Publishes the rebuilt snapshot: a reader whose acquire load above
+      // sees `false` also sees every write rebuild_csr made.
       csr_dirty_.store(false, std::memory_order_release);
     }
   }
-  return CsrView{csr_offsets_, csr_targets_, csr_weights_};
+  return csr_;
 }
 
 namespace {

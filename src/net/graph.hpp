@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -43,6 +44,18 @@ struct CsrView {
   std::span<const std::uint32_t> offsets;  // node_count()+1 entries
   std::span<const NodeId> targets;
   std::span<const double> weights;  // milliseconds, raw doubles for the hot loop
+};
+
+/// One immutable CSR snapshot of a graph's topology.  A mutation makes the
+/// graph build a fresh snapshot on its next query instead of overwriting
+/// this one, so a holder (a partly settled SsspTree) keeps walking the
+/// topology it started on.
+struct CsrSnapshot {
+  std::vector<std::uint32_t> offsets;
+  std::vector<NodeId> targets;
+  std::vector<double> weights;
+
+  [[nodiscard]] CsrView view() const noexcept { return {offsets, targets, weights}; }
 };
 
 /// Adjacency-list digraph with latency weights and a lazily-maintained CSR
@@ -109,10 +122,15 @@ class Graph {
   /// Thread-safe against concurrent csr() calls (double-checked rebuild
   /// under an internal mutex), matching the RoutingCache discipline: many
   /// concurrent readers, never a reader concurrent with a mutation.
-  [[nodiscard]] CsrView csr() const;
+  [[nodiscard]] CsrView csr() const { return csr_snapshot()->view(); }
+
+  /// The current CSR snapshot itself (rebuilt like csr()); it stays valid
+  /// and unchanged for as long as the caller holds it, across mutations.
+  [[nodiscard]] std::shared_ptr<const CsrSnapshot> csr_snapshot() const;
 
  private:
-  /// Flattens adjacency_ into the csr_* arrays; caller holds csr_mutex_.
+  /// Flattens adjacency_ into a fresh snapshot in csr_; caller holds
+  /// csr_mutex_.
   void rebuild_csr() const;
 
   std::vector<std::vector<Edge>> adjacency_;
@@ -121,13 +139,11 @@ class Graph {
   // CSR mirror: a cache of adjacency_, rebuilt lazily.  `mutable` + the
   // dirty-flag dance lets const query paths (shortest_distances & friends
   // under RoutingCache's parallel sweeps) share one rebuild without a lock
-  // on every query: the release store of `false` publishes the arrays, the
-  // acquire load on the fast path synchronises with it.
+  // on every query: the release store of `false` publishes the snapshot,
+  // the acquire load on the fast path synchronises with it.
   mutable std::mutex csr_mutex_;
   mutable std::atomic<bool> csr_dirty_{true};
-  mutable std::vector<std::uint32_t> csr_offsets_;
-  mutable std::vector<NodeId> csr_targets_;
-  mutable std::vector<double> csr_weights_;
+  mutable std::shared_ptr<const CsrSnapshot> csr_;
 };
 
 inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();

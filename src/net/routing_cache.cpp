@@ -1,53 +1,66 @@
 #include "net/routing_cache.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
+#include "obs/profile.hpp"
 #include "util/error.hpp"
 
 namespace spacecdn::net {
 
-namespace {
-
-struct QueueEntry {
-  double dist;
-  NodeId node;
-  bool operator>(const QueueEntry& o) const noexcept { return dist > o.dist; }
-};
-
-}  // namespace
-
-SsspTree::SsspTree(const Graph& graph, NodeId source) : source_(source) {
+SsspTree::SsspTree(const Graph& graph, NodeId source)
+    : csr_(graph.csr_snapshot()),
+      source_(source),
+      distances_(graph.node_count(), Milliseconds{kUnreachable}),
+      parents_(graph.node_count(), source) {
   SPACECDN_EXPECT(source < graph.node_count(), "source node out of range");
-  // CSR keeps the relaxation order of the adjacency-list loop (per-node edge
-  // order is insertion order), so cached trees are bit-identical to the
-  // direct shortest_path/shortest_distances results they memoise.
-  const CsrView csr = graph.csr();
-  std::vector<double> dist(graph.node_count(), kUnreachable);
-  parents_.assign(graph.node_count(), source);
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
-  dist[source] = 0.0;
-  pq.push({0.0, source});
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;  // stale entry
+  distances_[source] = Milliseconds{0.0};
+  heap_.push_back({0.0, source});
+}
+
+void SsspTree::settle(NodeId target) const {
+  SPACECDN_EXPECT(target < distances_.size(), "target node out of range");
+  if (complete_.load(std::memory_order_acquire)) return;
+  const std::lock_guard lock(mutex_);
+  // Another query may have finished the run while this one waited.
+  if (!heap_.empty() && heap_.front().dist < distances_[target].value()) run(target);
+}
+
+void SsspTree::finish() const {
+  if (complete_.load(std::memory_order_acquire)) return;
+  const std::lock_guard lock(mutex_);
+  if (!heap_.empty()) run(kAllNodes);
+}
+
+void SsspTree::run(NodeId target) const {
+  SPACECDN_PROFILE("SsspTree::settle");
+  // The same push_heap/pop_heap calls std::priority_queue makes in
+  // shortest_distances, over the same CSR edge order (insertion order), so
+  // this is a resumable copy of that run: equal-distance ties break the
+  // same way and the parents match bit for bit.
+  const CsrView csr = csr_->view();
+  while (!heap_.empty()) {
+    if (target != kAllNodes && !(heap_.front().dist < distances_[target].value())) return;
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
+    if (d > distances_[u].value()) continue;  // stale entry
     for (std::uint32_t ei = csr.offsets[u]; ei < csr.offsets[u + 1]; ++ei) {
       const NodeId v = csr.targets[ei];
       const double nd = d + csr.weights[ei];
-      if (nd < dist[v]) {
-        dist[v] = nd;
+      if (nd < distances_[v].value()) {
+        distances_[v] = Milliseconds{nd};
         parents_[v] = u;
-        pq.push({nd, v});
+        heap_.push_back({nd, v});
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
       }
     }
   }
-  distances_.reserve(dist.size());
-  for (double d : dist) distances_.emplace_back(d);
+  std::vector<HeapEntry>().swap(heap_);
+  complete_.store(true, std::memory_order_release);
 }
 
 std::uint32_t SsspTree::hops_to(NodeId target) const {
-  SPACECDN_EXPECT(target < distances_.size(), "target node out of range");
   SPACECDN_EXPECT(reachable(target), "target unreachable from SSSP source");
   std::uint32_t hops = 0;
   for (NodeId n = target; n != source_; n = parents_[n]) ++hops;
@@ -55,7 +68,6 @@ std::uint32_t SsspTree::hops_to(NodeId target) const {
 }
 
 Path SsspTree::path_to(NodeId target) const {
-  SPACECDN_EXPECT(target < distances_.size(), "target node out of range");
   SPACECDN_EXPECT(reachable(target), "target unreachable from SSSP source");
   Path path;
   path.total = distances_[target];
@@ -81,9 +93,9 @@ std::shared_ptr<const SsspTree> RoutingCache::tree(NodeId source) const {
       return it->second.tree;
     }
   }
-  // Miss (or stale): compute outside any lock -- Dijkstra dominates -- then
-  // insert.  A racing thread may compute the same tree; both results are
-  // identical, the second insert just wins.
+  // Miss (or stale): seed a fresh tree outside any lock, then insert.  A
+  // racing thread may seed the same tree; both answer identically, the
+  // second insert just wins.
   auto computed = std::make_shared<const SsspTree>(*graph_, source);
   std::unique_lock lock(mutex_);
   misses_.fetch_add(1, std::memory_order_relaxed);

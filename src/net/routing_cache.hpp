@@ -4,15 +4,16 @@
 // recover events), yet every simulated fetch used to re-run a full Dijkstra
 // -- sometimes one per BFS candidate.  Hypatia and StarryNet precompute
 // per-snapshot routing state for exactly this reason.  RoutingCache memoises
-// whole SSSP trees (distances + parent arrays) per source node, so
-// `path_latency`, `latencies_from`, and hop-count reconstruction all come
-// from one cached Dijkstra.  Entries are keyed by a topology epoch that the
-// graph owner bumps on every mutation; stale trees are discarded lazily and
-// an LRU bound caps the number of cached sources.
+// SSSP trees (distances + parent arrays) per source node, so `path_latency`,
+// `latencies_from`, and hop-count reconstruction all come from one cached
+// Dijkstra, settled only as far as the queries reach.  Entries are keyed by
+// a topology epoch that the graph owner bumps on every mutation; stale trees
+// are discarded lazily and an LRU bound caps the number of cached sources.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -24,8 +25,21 @@
 
 namespace spacecdn::net {
 
-/// One single-source shortest-path tree: the full Dijkstra result from
-/// `source`, immutable once computed.  `parent[v]` is the predecessor of `v`
+/// One single-source shortest-path tree, settled lazily.
+///
+/// The constructor only seeds the Dijkstra heap.  Each query pops and
+/// relaxes until its target is final, so the answered part of the tree is
+/// always a prefix of the eager run (net::shortest_distances): the same
+/// push_heap/pop_heap sequence over the same CSR edge order, hence the same
+/// distances and the same tie-broken parents, bit for bit.  A node is final
+/// once its distance is <= the heap minimum (or the heap is empty): every
+/// later relaxation offers a key >= that minimum, and a parent changes only
+/// on a strict improvement.  distances()/parents() finish the run.
+///
+/// The tree holds the CSR snapshot it started on, so a partly settled tree
+/// still answers for that topology after the graph is mutated.  Queries are
+/// thread-safe: extending the run takes a per-tree mutex, and once the run
+/// is complete reads skip the lock.  `parent[v]` is the predecessor of `v`
 /// on the shortest path (== `source` for the source itself and for
 /// unreachable nodes, matching shortest_path()'s convention).
 class SsspTree {
@@ -35,15 +49,22 @@ class SsspTree {
   [[nodiscard]] NodeId source() const noexcept { return source_; }
 
   [[nodiscard]] Milliseconds distance(NodeId target) const {
+    settle(target);
     return distances_[target];
   }
   [[nodiscard]] bool reachable(NodeId target) const {
-    return distances_[target].value() != kUnreachable;
+    return distance(target).value() != kUnreachable;
   }
-  [[nodiscard]] const std::vector<Milliseconds>& distances() const noexcept {
+  /// Every distance; finishes the run first.
+  [[nodiscard]] const std::vector<Milliseconds>& distances() const {
+    finish();
     return distances_;
   }
-  [[nodiscard]] const std::vector<NodeId>& parents() const noexcept { return parents_; }
+  /// Every parent; finishes the run first.
+  [[nodiscard]] const std::vector<NodeId>& parents() const {
+    finish();
+    return parents_;
+  }
 
   /// Hop count of the shortest path source -> target; 0 for the source
   /// itself.  @throws spacecdn::ConfigError when target is unreachable.
@@ -54,9 +75,33 @@ class SsspTree {
   [[nodiscard]] Path path_to(NodeId target) const;
 
  private:
+  struct HeapEntry {
+    double dist;
+    NodeId node;
+    bool operator>(const HeapEntry& o) const noexcept { return dist > o.dist; }
+  };
+
+  /// Runs Dijkstra until `target` is final.  Afterwards the distance and
+  /// parent of `target` and of every node on its path never change again,
+  /// so callers read them without the lock.
+  void settle(NodeId target) const;
+  /// Runs Dijkstra to completion.
+  void finish() const;
+  /// run()'s target meaning "no target": drain the heap.
+  static constexpr NodeId kAllNodes = std::numeric_limits<NodeId>::max();
+
+  /// Pops and relaxes until `target` is final, or to the end for kAllNodes;
+  /// caller holds mutex_.  Marks the tree complete and frees the heap once
+  /// it empties.
+  void run(NodeId target) const;
+
+  std::shared_ptr<const CsrSnapshot> csr_;
   NodeId source_;
-  std::vector<Milliseconds> distances_;
-  std::vector<NodeId> parents_;
+  mutable std::mutex mutex_;
+  mutable std::atomic<bool> complete_{false};
+  mutable std::vector<Milliseconds> distances_;
+  mutable std::vector<NodeId> parents_;
+  mutable std::vector<HeapEntry> heap_;  // min-heap under std::greater<>
 };
 
 /// Cache statistics (cumulative over the cache's lifetime).
@@ -85,7 +130,7 @@ class RoutingCache {
   /// @param max_sources  LRU bound on distinct cached source nodes.
   explicit RoutingCache(const Graph& graph, std::size_t max_sources = 256);
 
-  /// The cached SSSP tree from `source`, computing it on a miss.
+  /// The cached SSSP tree from `source`, seeding a fresh one on a miss.
   [[nodiscard]] std::shared_ptr<const SsspTree> tree(NodeId source) const;
 
   /// Drops every cached tree by bumping the epoch (O(1); entries are

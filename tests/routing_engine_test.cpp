@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <functional>
 #include <numeric>
+#include <queue>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "data/datasets.hpp"
@@ -82,6 +87,234 @@ TEST(SsspTree, UnreachableNodesThrowOnReconstruction) {
   EXPECT_TRUE(tree.reachable(1));
   EXPECT_THROW((void)tree.hops_to(2), ConfigError);
   EXPECT_THROW((void)tree.path_to(2), ConfigError);
+}
+
+// ------------------------------------------- Lazily settled SsspTree
+//
+// SsspTree settles Dijkstra only as far as its queries reach.  Every answer
+// must still equal the eager full run bit for bit -- distances and the
+// tie-broken parents -- whatever order the queries come in.
+
+constexpr std::array<const char*, 4> kPresets{"test-shell", "shell1", "starlink-4shell",
+                                              "gen2-10k"};
+
+/// The eager reference: shortest_distances' run (the same std::priority_queue
+/// over the same CSR), recording parents the way shortest_path does, to the
+/// end.
+struct EagerTree {
+  std::vector<Milliseconds> distances;
+  std::vector<net::NodeId> parents;
+};
+
+EagerTree eager_tree(const net::Graph& g, net::NodeId source) {
+  struct Entry {
+    double dist;
+    net::NodeId node;
+    bool operator>(const Entry& o) const noexcept { return dist > o.dist; }
+  };
+  const net::CsrView csr = g.csr();
+  std::vector<double> dist(g.node_count(), net::kUnreachable);
+  EagerTree out;
+  out.parents.assign(g.node_count(), source);
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+  dist[source] = 0.0;
+  pq.push({0.0, source});
+  while (!pq.empty()) {
+    const auto [d, u] = pq.top();
+    pq.pop();
+    if (d > dist[u]) continue;
+    for (std::uint32_t ei = csr.offsets[u]; ei < csr.offsets[u + 1]; ++ei) {
+      const net::NodeId v = csr.targets[ei];
+      const double nd = d + csr.weights[ei];
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        out.parents[v] = u;
+        pq.push({nd, v});
+      }
+    }
+  }
+  for (const double d : dist) out.distances.emplace_back(d);
+  return out;
+}
+
+/// The path the eager parents spell out (source first).
+std::vector<net::NodeId> eager_path(const EagerTree& eager, net::NodeId source,
+                                    net::NodeId target) {
+  std::vector<net::NodeId> nodes;
+  for (net::NodeId n = target;; n = eager.parents[n]) {
+    nodes.push_back(n);
+    if (n == source) break;
+  }
+  std::reverse(nodes.begin(), nodes.end());
+  return nodes;
+}
+
+/// Queries `count` targets of `tree` in a random order, one random query
+/// kind each, and compares every answer with the eager run.  Returns the
+/// number of mismatches; several threads may call it on one tree.
+int query_randomly(const net::SsspTree& tree, const EagerTree& eager, des::Rng& rng,
+                   std::size_t count) {
+  const net::NodeId source = tree.source();
+  const auto n = static_cast<std::uint32_t>(eager.distances.size());
+  std::vector<net::NodeId> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  rng.shuffle(order);
+  int mismatches = 0;
+  for (std::size_t i = 0; i < std::min<std::size_t>(count, n); ++i) {
+    const net::NodeId v = order[i];
+    const bool reachable = eager.distances[v].value() != net::kUnreachable;
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        mismatches += tree.distance(v).value() != eager.distances[v].value();
+        break;
+      case 1:
+        mismatches += tree.reachable(v) != reachable;
+        break;
+      case 2:
+        if (reachable) {
+          mismatches += tree.hops_to(v) + 1 != eager_path(eager, source, v).size();
+        }
+        break;
+      default:
+        if (reachable) {
+          const net::Path path = tree.path_to(v);
+          mismatches += path.nodes != eager_path(eager, source, v);
+          mismatches += path.total.value() != eager.distances[v].value();
+        }
+        break;
+    }
+  }
+  return mismatches;
+}
+
+/// Full comparison of a (possibly partly settled) tree with the eager run
+/// and with net::shortest_distances / net::shortest_path.
+void expect_matches_eager(const net::Graph& g, const net::SsspTree& tree,
+                          const EagerTree& eager, des::Rng& rng,
+                          const std::string& where) {
+  const net::NodeId source = tree.source();
+  EXPECT_EQ(query_randomly(tree, eager, rng, 48), 0) << where;
+  const auto direct = net::shortest_distances(g, source);
+  const auto& distances = tree.distances();  // finishes the run
+  const auto& parents = tree.parents();
+  ASSERT_EQ(distances.size(), direct.size()) << where;
+  std::size_t parent_mismatches = 0;
+  std::size_t distance_mismatches = 0;
+  for (net::NodeId v = 0; v < direct.size(); ++v) {
+    distance_mismatches += distances[v].value() != direct[v].value();
+    distance_mismatches += distances[v].value() != eager.distances[v].value();
+    parent_mismatches += parents[v] != eager.parents[v];
+  }
+  EXPECT_EQ(distance_mismatches, 0u) << where;
+  EXPECT_EQ(parent_mismatches, 0u) << where;
+  for (int i = 0; i < 8; ++i) {
+    const auto v = static_cast<net::NodeId>(rng.uniform_int(0, direct.size() - 1));
+    const auto path = net::shortest_path(g, source, v);
+    ASSERT_EQ(path.has_value(), tree.reachable(v)) << where << " target " << v;
+    if (!path) continue;
+    EXPECT_EQ(tree.path_to(v).nodes, path->nodes) << where << " target " << v;
+    EXPECT_EQ(tree.hops_to(v), path->hop_count()) << where << " target " << v;
+  }
+}
+
+TEST(LazySsspTree, MatchesEagerDijkstraOnAllPresetsInRandomQueryOrders) {
+  // Roughly one tree in ten on these shells has an equal-distance tie that
+  // a different heap would break differently, so enough sources are drawn
+  // per preset for a heap change to show in the parents.
+  constexpr std::array<int, kPresets.size()> kSourcesPerRound{24, 12, 8, 4};
+  for (std::size_t p = 0; p < kPresets.size(); ++p) {
+    const char* preset = kPresets[p];
+    lsn::StarlinkNetwork net(lsn::starlink_preset(preset));
+    des::Rng rng(des::mix_seed(21, p));
+    const auto sats = static_cast<std::uint32_t>(net.snapshot().size());
+    std::vector<std::uint32_t> failed;
+    for (const double t_s : {0.0, 15.0}) {
+      if (t_s > 0.0) net.set_time(Milliseconds::from_seconds(t_s));
+      for (int round = 0; round < 3; ++round) {
+        // Seeded churn: fail a few satellites, recover the oldest failure.
+        for (int f = 0; f < 3; ++f) {
+          const auto sat = static_cast<std::uint32_t>(rng.uniform_int(0, sats - 1));
+          if (net.isl().is_failed(sat)) continue;
+          net.fail_satellite(sat);
+          failed.push_back(sat);
+        }
+        if (round > 0 && !failed.empty()) {
+          net.recover_satellite(failed.front());
+          failed.erase(failed.begin());
+        }
+        const net::Graph& g = net.isl().graph();
+        for (int i = 0; i < kSourcesPerRound[p]; ++i) {
+          const auto source = static_cast<net::NodeId>(rng.uniform_int(0, sats - 1));
+          const std::string where = std::string(preset) + " t=" + std::to_string(t_s) +
+                                    "s round " + std::to_string(round) + " source " +
+                                    std::to_string(source);
+          const EagerTree eager = eager_tree(g, source);
+          const net::SsspTree tree(g, source);
+          expect_matches_eager(g, tree, eager, rng, where);
+          if (i == 0) {
+            // The cached tree, shared with every other query, answers the same.
+            expect_matches_eager(g, *net.isl().sssp_from(source), eager, rng,
+                                 where + " cached");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LazySsspTree, PartlySettledTreeKeepsItsTopologyAcrossFail) {
+  const lsn::StarlinkNetwork network;
+  lsn::IslNetwork isl(network.constellation(), network.snapshot());
+  const net::NodeId source = 10;
+  const EagerTree before = eager_tree(isl.graph(), source);
+  const auto tree = isl.sssp_from(source);
+  // Settle just far enough for a 3-hop neighbour.
+  const auto ring = isl.within_hops(source, 3);
+  const net::NodeId near = ring->back().node;
+  ASSERT_EQ(ring->back().hops, 3u);
+  EXPECT_EQ(tree->path_to(near).nodes, eager_path(before, source, near));
+
+  // Fail the first hop of that path: the live topology moves under the
+  // partly settled tree, which must keep answering for the old one.
+  isl.fail(eager_path(before, source, near)[1]);
+  const EagerTree after = eager_tree(isl.graph(), source);
+  ASSERT_NE(after.parents, before.parents);
+  des::Rng rng(22);
+  // `network`'s own ISL graph is the untouched pre-failure topology.
+  expect_matches_eager(network.isl().graph(), *tree, before, rng, "held across fail");
+  // The cache hands out a new tree for the new topology.
+  const auto fresh = isl.sssp_from(source);
+  EXPECT_NE(fresh.get(), tree.get());
+  expect_matches_eager(isl.graph(), *fresh, after, rng, "after fail");
+}
+
+TEST(LazySsspTree, ConcurrentQueriesOnOneFreshTreeMatchEager) {
+  // Four threads extend one fresh tree at once (run under TSan in CI); one
+  // of them finishes the run midway, so completion races partial settles.
+  const net::Graph& g = shell1().isl().graph();
+  for (const net::NodeId source : {5u, 14u, 1500u}) {
+    const EagerTree eager = eager_tree(g, source);
+    const net::SsspTree tree(g, source);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        des::Rng rng(des::mix_seed(source, t));
+        int bad = query_randomly(tree, eager, rng, 96);
+        if (t == 1) {
+          const auto& distances = tree.distances();
+          for (net::NodeId v = 0; v < distances.size(); ++v) {
+            bad += distances[v].value() != eager.distances[v].value();
+            bad += tree.parents()[v] != eager.parents[v];
+          }
+        }
+        bad += query_randomly(tree, eager, rng, 96);
+        mismatches.fetch_add(bad, std::memory_order_relaxed);
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0) << "source " << source;
+  }
 }
 
 // --------------------------------------------------------- RoutingCache
