@@ -56,6 +56,8 @@ int main(int argc, char** argv) {
     ++counts[tier];
     latency[tier].add(result->rtt.value());
     runner.checksum().add(result->rtt.value());
+    runner.checksum().add(static_cast<double>(tier));
+    runner.checksum().add(static_cast<double>(result->serving_satellite));
 
     if (++since_snapshot == kTotal / 4) {
       since_snapshot = 0;
@@ -79,6 +81,7 @@ int main(int argc, char** argv) {
                "set into orbit, and the overhead-satellite tier takes over at "
                "a tenth of the bent-pipe latency (the red arrow in Figure 6).\n";
 
+  std::cout << "\ndeterminism checksum: " << runner.checksum().hex() << "\n";
   runner.record("tier1_requests", static_cast<double>(counts[0]));
   runner.record("tier2_requests", static_cast<double>(counts[1]));
   runner.record("tier3_requests", static_cast<double>(counts[2]));

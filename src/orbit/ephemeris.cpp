@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "geo/batch.hpp"
 #include "obs/profile.hpp"
@@ -102,6 +104,31 @@ std::optional<std::uint32_t> EphemerisSnapshot::serving_satellite(
     }
   }
   return best;
+}
+
+std::vector<std::uint32_t> EphemerisSnapshot::ranked_visible_satellites(
+    const geo::GeoPoint& ground, double min_elevation_deg) const {
+  std::vector<std::uint32_t> ids;
+  if (min_elevation_deg <= 0.0) {
+    ids.resize(size());
+    std::iota(ids.begin(), ids.end(), 0U);
+  } else {
+    index_.candidates(ground, query_psi_deg(min_elevation_deg), ids);
+  }
+  const geo::Ecef g = geo::to_ecef_spherical(ground);
+  std::vector<double>& elev = elevation_scratch();
+  elev.resize(ids.size());
+  geo::elevation_angles_deg(g, x_, y_, z_, ids, elev);
+  std::vector<std::pair<double, std::uint32_t>> ranked;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (elev[i] >= min_elevation_deg) ranked.emplace_back(elev[i], ids[i]);
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  ids.clear();
+  for (const auto& entry : ranked) ids.push_back(entry.second);
+  return ids;
 }
 
 std::vector<std::uint32_t> EphemerisSnapshot::visible_satellites_scan(

@@ -67,6 +67,13 @@ class EphemerisSnapshot {
   [[nodiscard]] std::optional<std::uint32_t> serving_satellite(
       const geo::GeoPoint& ground, double min_elevation_deg) const;
 
+  /// Ids of all satellites visible from `ground` at >= `min_elevation_deg`
+  /// in serving rank order: highest elevation first, exact ties toward the
+  /// lowest id, so front() is serving_satellite()'s answer.  Elevations come
+  /// from the same batched kernel as serving_satellite.
+  [[nodiscard]] std::vector<std::uint32_t> ranked_visible_satellites(
+      const geo::GeoPoint& ground, double min_elevation_deg) const;
+
   /// Brute-force O(N) reference implementations: same contract and same
   /// results as the indexed queries.  Kept for equivalence tests and the
   /// speedup micro-benchmarks.

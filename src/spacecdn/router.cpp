@@ -7,8 +7,6 @@
 #include <string>
 
 #include "geo/propagation.hpp"
-#include "geo/visibility.hpp"
-#include "net/graph.hpp"
 #include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -19,41 +17,14 @@ namespace {
 
 constexpr obs::HistogramOptions kRttBuckets{0.0, 2'000.0, 200};
 
-/// Counts a served fetch and its RTT into the installed registry.  The
-/// handles live across calls so steady-state accounting skips the by-name
-/// lookup (this runs once per fetch -- the router's hottest metric site).
-void count_served(const FetchResult& result) {
-  static std::array<obs::CounterHandle, 3> served{
-      obs::CounterHandle{"spacecdn_fetch_served_total", {{"tier", "serving-satellite"}}},
-      obs::CounterHandle{"spacecdn_fetch_served_total", {{"tier", "isl-neighbor"}}},
-      obs::CounterHandle{"spacecdn_fetch_served_total", {{"tier", "ground"}}}};
-  static std::array<obs::HistogramHandle, 3> rtt{
-      obs::HistogramHandle{"spacecdn_fetch_rtt_ms", {{"tier", "serving-satellite"}},
-                           kRttBuckets},
-      obs::HistogramHandle{"spacecdn_fetch_rtt_ms", {{"tier", "isl-neighbor"}},
-                           kRttBuckets},
-      obs::HistogramHandle{"spacecdn_fetch_rtt_ms", {{"tier", "ground"}}, kRttBuckets}};
-  static obs::CounterHandle ground_hit{"spacecdn_ground_cache_total",
-                                       {{"result", "hit"}}};
-  static obs::CounterHandle ground_miss{"spacecdn_ground_cache_total",
-                                        {{"result", "miss"}}};
-
-  const auto i = static_cast<std::size_t>(result.tier);
-  served[i].inc();
-  rtt[i].observe(result.rtt.value());
-  if (result.tier == FetchTier::kGround) {
-    (result.ground_cache_hit ? ground_hit : ground_miss).inc();
-  }
-}
-
-/// "a>b>c" rendering of an ISL path for trace attrs.
-std::string render_path(const std::vector<net::NodeId>& nodes) {
-  std::string out;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (i != 0) out += ">";
-    out += std::to_string(nodes[i]);
-  }
-  return out;
+/// Satellites on the shortest ISL path `from` -> `to`, `from` first; empty
+/// when `to` is unreachable.
+std::vector<std::uint32_t> isl_path(const lsn::IslNetwork& isl, std::uint32_t from,
+                                    std::uint32_t to) {
+  const auto tree = isl.sssp_from(from);
+  if (!tree->reachable(to)) return {};
+  const auto path = tree->path_to(to);
+  return {path.nodes.begin(), path.nodes.end()};
 }
 
 }  // namespace
@@ -100,29 +71,53 @@ std::size_t SpaceCdnRouter::ClientKeyHash::operator()(
 
 SpaceCdnRouter::ClientGeometry& SpaceCdnRouter::client_geometry(
     const geo::GeoPoint& client) const {
-  const std::uint64_t epoch = network_->snapshot().epoch();
-  if (epoch != geometry_epoch_) {
+  const auto& snapshot = network_->snapshot();
+  if (snapshot.epoch() != geometry_epoch_) {
     geometry_.clear();
-    visible_.clear();
-    geometry_epoch_ = epoch;
+    ranked_.clear();
+    geometry_epoch_ = snapshot.epoch();
   }
-  return geometry_[ClientKey{std::bit_cast<std::uint64_t>(client.lat_deg),
-                             std::bit_cast<std::uint64_t>(client.lon_deg),
-                             std::bit_cast<std::uint64_t>(client.alt_km)}];
-}
-
-std::optional<SpaceCdnRouter::Candidate> SpaceCdnRouter::serving_satellite(
-    const geo::GeoPoint& client) const {
-  ClientGeometry& geometry = client_geometry(client);
+  ClientGeometry& geometry =
+      geometry_[ClientKey{std::bit_cast<std::uint64_t>(client.lat_deg),
+                          std::bit_cast<std::uint64_t>(client.lon_deg),
+                          std::bit_cast<std::uint64_t>(client.alt_km)}];
   if (geometry.serving == ClientGeometry::kUnknown) {
-    const auto& snapshot = network_->snapshot();
     const auto serving =
         snapshot.serving_satellite(client, network_->config().user_min_elevation_deg);
     geometry.serving = serving ? *serving : ClientGeometry::kUncovered;
     if (serving) geometry.serving_range = snapshot.slant_range(client, *serving);
   }
-  if (geometry.serving == ClientGeometry::kUncovered) return std::nullopt;
-  return Candidate{geometry.serving, geometry.serving_range};
+  return geometry;
+}
+
+std::optional<SpaceCdnRouter::Candidate> SpaceCdnRouter::healthy_serving_satellite(
+    const geo::GeoPoint& client, std::optional<std::uint32_t> exclude) const {
+  ClientGeometry& geometry = client_geometry(client);
+  const auto top = geometry.top();
+  if (!top) return std::nullopt;
+  const auto usable = [&](std::uint32_t sat) {
+    return fleet_->online(sat) && sat != exclude;
+  };
+  const auto preferred = [&](std::uint32_t sat) {
+    return usable(sat) && (!serving_filter_ || serving_filter_(sat));
+  };
+  if (preferred(top->satellite)) return top;
+  const auto& snapshot = network_->snapshot();
+  if (geometry.ranked_begin == ClientGeometry::kUnknown) {
+    const auto ranked = snapshot.ranked_visible_satellites(
+        client, network_->config().user_min_elevation_deg);
+    geometry.ranked_begin = static_cast<std::uint32_t>(ranked_.size());
+    geometry.ranked_count = static_cast<std::uint32_t>(ranked.size());
+    ranked_.insert(ranked_.end(), ranked.begin(), ranked.end());
+  }
+  // When the filter vetoes every usable satellite, the best vetoed one
+  // still serves: availability beats politeness.
+  const auto first = ranked_.begin() + geometry.ranked_begin;
+  const auto last = first + geometry.ranked_count;
+  auto chosen = std::find_if(first, last, preferred);
+  if (chosen == last) chosen = std::find_if(first, last, usable);
+  if (chosen == last) return std::nullopt;
+  return Candidate{*chosen, snapshot.slant_range(client, *chosen)};
 }
 
 std::optional<FetchResult> SpaceCdnRouter::fetch(const geo::GeoPoint& client,
@@ -137,7 +132,7 @@ std::optional<FetchResult> SpaceCdnRouter::fetch(const geo::GeoPoint& client,
     trace->attr(trace->root(), "item", std::to_string(item.id));
   }
 
-  const auto serving = serving_satellite(client);
+  const auto serving = client_geometry(client).top();
   if (trace) {
     const std::uint32_t sel = trace->open("serving-selection");
     trace->attr(sel, "satellite", serving ? std::to_string(serving->satellite) : "none");
@@ -149,8 +144,9 @@ std::optional<FetchResult> SpaceCdnRouter::fetch(const geo::GeoPoint& client,
     return std::nullopt;
   }
 
-  const auto result = attempt_from(*serving, client, country, item, rng, now,
-                                   trace ? &*trace : nullptr, obs::kNoParent);
+  auto result = finish_attempt(attempt_from(*serving, client, country, item, rng, now),
+                               trace ? &*trace : nullptr, obs::kNoParent,
+                               Milliseconds{0.0});
   if (trace) {
     if (result) trace->set_duration(trace->root(), result->rtt);
     tracer->record(trace->finish(/*failed=*/!result.has_value()));
@@ -158,16 +154,17 @@ std::optional<FetchResult> SpaceCdnRouter::fetch(const geo::GeoPoint& client,
   return result;
 }
 
-std::optional<FetchResult> SpaceCdnRouter::attempt_from(Candidate serving_choice,
-                                                        const geo::GeoPoint& client,
-                                                        const data::CountryInfo& country,
-                                                        const cdn::ContentItem& item,
-                                                        des::Rng& rng, Milliseconds now,
-                                                        obs::TraceBuilder* trace,
-                                                        std::uint32_t parent_span) {
+SpaceCdnRouter::Attempt SpaceCdnRouter::attempt_from(Candidate serving_choice,
+                                                     const geo::GeoPoint& client,
+                                                     const data::CountryInfo& country,
+                                                     const cdn::ContentItem& item,
+                                                     des::Rng& rng, Milliseconds now) {
   const std::uint32_t serving = serving_choice.satellite;
-  const Milliseconds uplink =
-      geo::propagation_delay(serving_choice.range, geo::Medium::kVacuum);
+  Attempt attempt;
+  FetchResult& result = attempt.result;
+  LatencyBreakdown& latency = result.latency;
+  result.serving_satellite = serving;
+  latency.uplink = geo::propagation_delay(serving_choice.range, geo::Medium::kVacuum);
   const Milliseconds space_overhead{rng.lognormal_median(
       config_.service_overhead_rtt.value(), config_.service_overhead_sigma)};
 
@@ -176,32 +173,20 @@ std::optional<FetchResult> SpaceCdnRouter::attempt_from(Candidate serving_choice
   // space fetch reconstructs from fragments in tier (ii).
   const bool ec_mode =
       placement_map_ != nullptr && placement_map_->min_live_for_read() > 1;
+  const bool cache_enabled = fleet_->cache_enabled(serving);
+  const bool admit = config_.admit_on_fetch && !ec_mode && cache_enabled;
 
   // Tier (i): overhead satellite.  A shed-to-ground caller skips the space
   // tiers outright (set_ground_only) -- the degraded bent-pipe-only mode.
-  if (!ground_only_ && !ec_mode && fleet_->cache_enabled(serving) &&
+  if (!ground_only_ && !ec_mode && cache_enabled &&
       fleet_->cache(serving).access(item.id, now)) {
-    FetchResult result;
     result.tier = FetchTier::kServingSatellite;
-    result.rtt = uplink * 2.0 + space_overhead;
+    latency.service_overhead = space_overhead;
+    result.rtt = latency.uplink * 2.0 + space_overhead;
     result.source_satellite = serving;
-    result.serving_satellite = serving;
-    count_served(result);
-    if (trace != nullptr) {
-      const std::uint32_t span = trace->open("tier:serving-satellite", parent_span);
-      trace->attr(span, "satellite", std::to_string(serving));
-      trace->set_duration(span, result.rtt);
-      trace->metric(span, "uplink_rtt_ms", uplink.value() * 2.0);
-      trace->metric(span, "service_overhead_ms", space_overhead.value());
-    }
-    return result;
+    return attempt;
   }
-  if (trace != nullptr) {
-    const std::uint32_t span = trace->open("tier:serving-satellite", parent_span);
-    trace->attr(span, "satellite", std::to_string(serving));
-    trace->attr(span, "outcome",
-                fleet_->cache_enabled(serving) ? "miss" : "cache-disabled");
-  }
+  attempt.tier_i_miss = cache_enabled ? "miss" : "cache-disabled";
 
   // Tier (ii): nearest replica over ISLs.  Offline holders carry no ISL
   // edges and crashed caches are not cache_enabled, so the lookup only ever
@@ -213,125 +198,155 @@ std::optional<FetchResult> SpaceCdnRouter::attempt_from(Candidate serving_choice
                                             config_.max_isl_hops)) {
     // Register the hit on the holder's cache.
     (void)fleet_->cache(found->satellite).access(item.id, now);
-    const bool admit =
-        config_.admit_on_fetch && !ec_mode && fleet_->cache_enabled(serving);
     if (admit) (void)fleet_->cache(serving).insert(item, now);
-    FetchResult result;
+    attempt.admitted = admit;
     result.tier = FetchTier::kIslNeighbor;
-    result.rtt = (uplink + found->isl_latency) * 2.0 + space_overhead;
+    latency.service_overhead = space_overhead;
+    latency.isl = found->isl_latency;
+    result.rtt = (latency.uplink + found->isl_latency) * 2.0 + space_overhead;
     result.isl_hops = found->hops;
     result.source_satellite = found->satellite;
-    result.serving_satellite = serving;
     if (config_.record_paths) {
-      if (const auto tree = network_->isl().sssp_from(serving);
-          tree->reachable(found->satellite)) {
-        const auto path = tree->path_to(found->satellite);
-        result.isl_path.assign(path.nodes.begin(), path.nodes.end());
-      }
+      result.isl_path = isl_path(network_->isl(), serving, found->satellite);
     }
-    count_served(result);
-    static obs::CounterHandle admit_total{"spacecdn_cache_admit_total"};
-    static obs::HistogramHandle isl_hops{"spacecdn_isl_hops", {}, {0.0, 16.0, 16}};
-    if (admit) admit_total.inc();
-    isl_hops.observe(found->hops);
-    if (trace != nullptr) {
-      const std::uint32_t span = trace->open("tier:isl-neighbor", parent_span);
-      trace->attr(span, "holder", std::to_string(found->satellite));
-      if (const auto tree = network_->isl().sssp_from(serving);
-          tree->reachable(found->satellite)) {
-        trace->attr(span, "isl_path", render_path(tree->path_to(found->satellite).nodes));
-      }
-      trace->metric(span, "hops", found->hops);
-      trace->metric(span, "isl_one_way_ms", found->isl_latency.value());
-      if (admit) trace->attr(span, "admitted", "true");
-      trace->set_duration(span, result.rtt);
-    }
-    return result;
-  }
-  if (trace != nullptr) {
-    trace->attr(trace->open("tier:isl-neighbor", parent_span), "outcome", "no-replica");
+    return attempt;
   }
 
   // Tier (iii): bent pipe to the ground CDN edge nearest the assigned PoP.
-  auto breakdown = network_->router().route_from_satellite(serving, client, country);
-  if (!breakdown) {
-    static obs::CounterHandle unreachable{"spacecdn_ground_unreachable_total"};
-    unreachable.inc();
-    if (trace != nullptr) {
-      trace->attr(trace->open("tier:ground", parent_span), "outcome", "unreachable");
-    }
-    return std::nullopt;
+  auto route = network_->router().route_from_satellite(serving, client, country);
+  if (!route) {
+    attempt.failure = "unreachable";
+    return attempt;
   }
-  if (CircuitBreaker* breaker = breaker_for(breakdown->gateway);
+  result.gateway = route->gateway;
+  if (CircuitBreaker* breaker = breaker_for(route->gateway);
       breaker != nullptr && !breaker->allow(now)) {
     // Open breaker: skipping the bent pipe beats timing out against it.
-    static obs::CounterHandle short_circuit{"spacecdn_breaker_short_circuit_total"};
-    short_circuit.inc();
-    if (trace != nullptr) {
-      const std::uint32_t span = trace->open("tier:ground", parent_span);
-      trace->attr(span, "outcome", "breaker-open");
-      trace->attr(span, "gateway", std::to_string(breakdown->gateway));
-    }
-    return std::nullopt;
+    attempt.failure = "breaker-open";
+    return attempt;
   }
-  const GroundSite& ground = ground_site(breakdown->pop);
-  const std::size_t site = ground.site;
-  breakdown->pop_to_destination = ground.pop_to_site;
-
+  const GroundSite& ground = ground_site(route->pop);
+  route->pop_to_destination = ground.pop_to_site;
+  latency.bent_pipe_rtt = route->propagation_rtt();
+  latency.pop_to_site = ground.pop_to_site;
+  latency.site_origin_rtt = ground.site_origin_rtt;
   // The ground fallback rides the ordinary bent pipe, so it pays the full
   // measured Starlink access-layer overhead.
-  const Milliseconds access_overhead = network_->access().sample_idle_overhead(rng);
-  const Milliseconds client_site_rtt = breakdown->propagation_rtt() + access_overhead;
-  const Milliseconds site_origin_rtt = ground.site_origin_rtt;
-  const cdn::ServeResult served =
-      ground_cdn_->serve(site, item, client_site_rtt, site_origin_rtt, now);
-
-  const bool admit =
-      config_.admit_on_fetch && !ec_mode && fleet_->cache_enabled(serving);
+  latency.access_overhead = network_->access().sample_idle_overhead(rng);
+  const cdn::ServeResult served = ground_cdn_->serve(
+      ground.site, item, latency.bent_pipe_rtt + latency.access_overhead,
+      latency.site_origin_rtt, now);
   if (admit) (void)fleet_->cache(serving).insert(item, now);
-  FetchResult result;
+  attempt.admitted = admit;
+  attempt.pop = route->pop;
+  attempt.site = ground.site;
   result.tier = FetchTier::kGround;
   result.rtt = served.first_byte;
-  result.isl_hops = breakdown->isl_hops;
+  result.isl_hops = route->isl_hops;
   result.ground_cache_hit = served.hit;
-  result.serving_satellite = serving;
-  result.gateway = breakdown->gateway;
   if (config_.record_paths) {
-    if (const auto tree = network_->isl().sssp_from(serving);
-        tree->reachable(breakdown->landing_satellite)) {
-      const auto path = tree->path_to(breakdown->landing_satellite);
-      result.isl_path.assign(path.nodes.begin(), path.nodes.end());
+    result.isl_path = isl_path(network_->isl(), serving, route->landing_satellite);
+  }
+  return attempt;
+}
+
+std::optional<FetchResult> SpaceCdnRouter::finish_attempt(Attempt attempt,
+                                                          obs::TraceBuilder* trace,
+                                                          std::uint32_t parent_span,
+                                                          Milliseconds start) const {
+  // The handles live across calls so steady-state accounting skips the
+  // by-name lookup (this runs once per attempt -- the router's hottest
+  // metric site).
+  static std::array<obs::CounterHandle, 3> served_total{
+      obs::CounterHandle{"spacecdn_fetch_served_total", {{"tier", "serving-satellite"}}},
+      obs::CounterHandle{"spacecdn_fetch_served_total", {{"tier", "isl-neighbor"}}},
+      obs::CounterHandle{"spacecdn_fetch_served_total", {{"tier", "ground"}}}};
+  static std::array<obs::HistogramHandle, 3> rtt_ms{
+      obs::HistogramHandle{"spacecdn_fetch_rtt_ms", {{"tier", "serving-satellite"}},
+                           kRttBuckets},
+      obs::HistogramHandle{"spacecdn_fetch_rtt_ms", {{"tier", "isl-neighbor"}},
+                           kRttBuckets},
+      obs::HistogramHandle{"spacecdn_fetch_rtt_ms", {{"tier", "ground"}}, kRttBuckets}};
+  static obs::CounterHandle ground_hit{"spacecdn_ground_cache_total",
+                                       {{"result", "hit"}}};
+  static obs::CounterHandle ground_miss{"spacecdn_ground_cache_total",
+                                        {{"result", "miss"}}};
+  static obs::CounterHandle admit_total{"spacecdn_cache_admit_total"};
+  static obs::HistogramHandle isl_hops{"spacecdn_isl_hops", {}, {0.0, 16.0, 16}};
+  static obs::CounterHandle unreachable{"spacecdn_ground_unreachable_total"};
+  static obs::CounterHandle short_circuit{"spacecdn_breaker_short_circuit_total"};
+  const FetchResult& result = attempt.result;
+  const LatencyBreakdown& latency = result.latency;
+  const bool served = attempt.failure.empty();
+  const FetchTier tier = result.tier;
+  if (served) {
+    served_total[static_cast<std::size_t>(tier)].inc();
+    rtt_ms[static_cast<std::size_t>(tier)].observe(result.rtt.value());
+    if (tier == FetchTier::kGround) {
+      (result.ground_cache_hit ? ground_hit : ground_miss).inc();
+    }
+    if (attempt.admitted) admit_total.inc();
+    if (tier == FetchTier::kIslNeighbor) isl_hops.observe(result.isl_hops);
+  } else {
+    (attempt.failure == "unreachable" ? unreachable : short_circuit).inc();
+  }
+
+  if (trace != nullptr) {
+    const auto open = [&](const char* name) {
+      const std::uint32_t span = trace->open(name, parent_span);
+      trace->set_start(span, start);
+      return span;
+    };
+    std::uint32_t span = open("tier:serving-satellite");
+    trace->attr(span, "satellite", std::to_string(result.serving_satellite));
+    if (served && tier == FetchTier::kServingSatellite) {
+      trace->metric(span, "uplink_rtt_ms", latency.uplink.value() * 2.0);
+      trace->metric(span, "service_overhead_ms", latency.service_overhead.value());
+    } else {
+      trace->attr(span, "outcome", std::string(attempt.tier_i_miss));
+      span = open("tier:isl-neighbor");
+      if (served && tier == FetchTier::kIslNeighbor) {
+        trace->attr(span, "holder", std::to_string(result.source_satellite));
+        const auto path = config_.record_paths
+                              ? result.isl_path
+                              : isl_path(network_->isl(), result.serving_satellite,
+                                         result.source_satellite);
+        std::string rendered;  // "a>b>c"
+        for (const std::uint32_t sat : path) {
+          if (!rendered.empty()) rendered += '>';
+          rendered += std::to_string(sat);
+        }
+        if (!path.empty()) trace->attr(span, "isl_path", rendered);
+        trace->metric(span, "hops", result.isl_hops);
+        trace->metric(span, "isl_one_way_ms", latency.isl.value());
+      } else {
+        trace->attr(span, "outcome", "no-replica");
+        span = open("tier:ground");
+        if (!served) trace->attr(span, "outcome", std::string(attempt.failure));
+        if (result.gateway) trace->attr(span, "gateway", std::to_string(*result.gateway));
+        if (served) {
+          trace->attr(span, "pop", std::to_string(attempt.pop));
+          trace->attr(span, "site", std::to_string(attempt.site));
+          trace->attr(span, "edge", result.ground_cache_hit ? "hit" : "miss");
+          trace->metric(span, "isl_hops", result.isl_hops);
+          trace->metric(span, "propagation_rtt_ms", latency.bent_pipe_rtt.value());
+          trace->metric(span, "access_overhead_ms", latency.access_overhead.value());
+          trace->metric(span, "site_origin_rtt_ms", latency.site_origin_rtt.value());
+        }
+      }
+    }
+    if (served) {
+      if (attempt.admitted) trace->attr(span, "admitted", "true");
+      trace->set_duration(span, result.rtt);
     }
   }
-  count_served(result);
-  if (admit) {
-    static obs::CounterHandle admit_total{"spacecdn_cache_admit_total"};
-    admit_total.inc();
-  }
-  if (trace != nullptr) {
-    const std::uint32_t span = trace->open("tier:ground", parent_span);
-    trace->attr(span, "gateway", std::to_string(breakdown->gateway));
-    trace->attr(span, "pop", std::to_string(breakdown->pop));
-    trace->attr(span, "site", std::to_string(site));
-    trace->attr(span, "edge", served.hit ? "hit" : "miss");
-    if (admit) trace->attr(span, "admitted", "true");
-    trace->metric(span, "isl_hops", breakdown->isl_hops);
-    trace->metric(span, "propagation_rtt_ms", breakdown->propagation_rtt().value());
-    trace->metric(span, "access_overhead_ms", access_overhead.value());
-    trace->metric(span, "site_origin_rtt_ms", site_origin_rtt.value());
-    trace->set_duration(span, result.rtt);
-  }
-  return result;
+  if (!served) return std::nullopt;
+  return std::move(attempt.result);
 }
 
 std::optional<LookupResult> SpaceCdnRouter::map_lookup(std::uint32_t serving,
                                                        cdn::ContentId id) const {
-  struct Candidate {
-    Milliseconds latency{0.0};
-    std::uint32_t hops = 0;
-    std::uint32_t sat = 0;
-  };
-  std::vector<Candidate> live;
+  std::vector<LookupResult> live;
   const auto tree = network_->isl().sssp_from(serving);
   for (const std::uint32_t sat : placement_map_->replicas(id)) {
     // Holders must actually carry the copy: a freshly restored cache is a
@@ -340,52 +355,19 @@ std::optional<LookupResult> SpaceCdnRouter::map_lookup(std::uint32_t serving,
     if (!tree->reachable(sat)) continue;
     const std::uint32_t hops = sat == serving ? 0 : tree->hops_to(sat);
     if (hops > config_.max_isl_hops) continue;
-    live.push_back({tree->distance(sat), hops, sat});
+    live.push_back({sat, hops, tree->distance(sat)});
   }
   const std::uint32_t need = placement_map_->min_live_for_read();
   if (live.size() < need) return std::nullopt;
   // Fragments are fetched in parallel, so the read completes when the
   // `need`-th nearest holder responds (for whole replicas need == 1: the
   // nearest holder).  Ties break by satellite id for determinism.
-  std::sort(live.begin(), live.end(), [](const Candidate& a, const Candidate& b) {
-    return a.latency.value() != b.latency.value() ? a.latency.value() < b.latency.value()
-                                                  : a.sat < b.sat;
+  std::sort(live.begin(), live.end(), [](const LookupResult& a, const LookupResult& b) {
+    return a.isl_latency.value() != b.isl_latency.value()
+               ? a.isl_latency.value() < b.isl_latency.value()
+               : a.satellite < b.satellite;
   });
-  const Candidate& bound = live[need - 1];
-  return LookupResult{bound.sat, bound.hops, bound.latency};
-}
-
-std::optional<SpaceCdnRouter::Candidate> SpaceCdnRouter::healthy_serving_satellite(
-    const geo::GeoPoint& client, std::optional<std::uint32_t> exclude) const {
-  ClientGeometry& geometry = client_geometry(client);
-  if (geometry.visible_begin == ClientGeometry::kUnknown) {
-    const auto& snapshot = network_->snapshot();
-    const auto visible = snapshot.visible_satellites(
-        client, network_->config().user_min_elevation_deg);
-    geometry.visible_begin = static_cast<std::uint32_t>(visible_.size());
-    geometry.visible_count = static_cast<std::uint32_t>(visible.size());
-    for (const std::uint32_t sat : visible) {
-      visible_.push_back({sat, snapshot.slant_range(client, sat)});
-    }
-  }
-  std::optional<Candidate> best_preferred;
-  std::optional<Candidate> best_any;
-  const std::uint32_t end = geometry.visible_begin + geometry.visible_count;
-  for (std::uint32_t i = geometry.visible_begin; i < end; ++i) {
-    const Candidate candidate = visible_[i];
-    if (!fleet_->online(candidate.satellite)) continue;
-    if (exclude && candidate.satellite == *exclude) continue;
-    // At a single-altitude shell, minimum slant range == maximum elevation.
-    const double range = candidate.range.value();
-    if (!best_any || range < best_any->range.value()) best_any = candidate;
-    if (serving_filter_ && !serving_filter_(candidate.satellite)) continue;
-    if (!best_preferred || range < best_preferred->range.value()) {
-      best_preferred = candidate;
-    }
-  }
-  // When the filter vetoes every visible satellite, the best vetoed one
-  // still serves: availability beats politeness.
-  return best_preferred ? best_preferred : best_any;
+  return live[need - 1];
 }
 
 CircuitBreaker* SpaceCdnRouter::breaker_for(std::size_t gateway) const {
@@ -478,6 +460,7 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
     trace.emplace("fetch_resilient", now);
     trace->attr(trace->root(), "item", std::to_string(item.id));
   }
+  obs::TraceBuilder* const tb = trace ? &*trace : nullptr;
   fetch_total.inc();
 
   ResilientFetchResult out;
@@ -496,40 +479,28 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
       budget = std::min(budget, remaining);
     }
     ++out.attempts;
+    const auto serving = healthy_serving_satellite(client);
     std::uint32_t attempt_span = obs::kNoParent;
     if (trace) {
       attempt_span = trace->open("attempt");
       trace->attr(attempt_span, "n", std::to_string(attempt));
       trace->set_start(attempt_span, Milliseconds{waited});
-    }
-    const auto serving = healthy_serving_satellite(client);
-    if (trace) {
       const std::uint32_t sel = trace->open("serving-selection", attempt_span);
       trace->set_start(sel, Milliseconds{waited});
-      trace->attr(sel, "satellite",
-                  serving ? std::to_string(serving->satellite) : "none");
+      trace->attr(sel, "satellite", serving ? std::to_string(serving->satellite) : "none");
     }
     std::optional<FetchResult> served;
     if (serving) {
-      served = attempt_from(*serving, client, country, item, rng, now,
-                            trace ? &*trace : nullptr, attempt_span);
-      if (trace) {
-        // Tier spans of this attempt start where the attempt started.
-        for (std::uint32_t s = attempt_span + 2;
-             s < static_cast<std::uint32_t>(trace->span_count()); ++s) {
-          trace->set_start(s, Milliseconds{waited});
-        }
-      }
+      served = finish_attempt(attempt_from(*serving, client, country, item, rng, now), tb,
+                              attempt_span, Milliseconds{waited});
     }
     // The response can be lost in flight even when a path exists; the
     // server-side effects (cache admissions) still happened.
     const bool lost = rc.transient_loss > 0.0 && rng.chance(rc.transient_loss);
+    CircuitBreaker* const breaker =
+        served && served->gateway ? breaker_for(*served->gateway) : nullptr;
     if (served && !lost && served->rtt.value() <= budget) {
-      if (served->gateway) {
-        if (CircuitBreaker* breaker = breaker_for(*served->gateway)) {
-          breaker->record_success();
-        }
-      }
+      if (breaker != nullptr) breaker->record_success();
       // Tail hedge: a response slower than the hedge delay races a second
       // request from the next-best serving satellite; the client keeps
       // whichever lands first (tail-at-scale's deferred hedging, so at most
@@ -540,8 +511,9 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
         const auto second = healthy_serving_satellite(client, serving->satellite);
         std::optional<FetchResult> hedge;
         if (second) {
-          hedge = attempt_from(*second, client, country, item, rng, now,
-                               trace ? &*trace : nullptr, attempt_span);
+          // The hedge's spans start where it was issued.
+          hedge = finish_attempt(attempt_from(*second, client, country, item, rng, now),
+                                 tb, attempt_span, Milliseconds{waited} + rc.hedge_delay);
         }
         const bool hedge_lost =
             hedge && rc.transient_loss > 0.0 && rng.chance(rc.transient_loss);
@@ -554,34 +526,22 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
             hedge_won.inc();
           }
         }
-        if (trace) {
-          trace->attr(attempt_span, "hedged", out.hedge_won ? "won" : "lost");
-        }
+        if (trace) trace->attr(attempt_span, "hedged", out.hedge_won ? "won" : "lost");
       }
       out.success = true;
-      out.served = served;
       out.total_latency = Milliseconds{waited} + served->rtt;
-      out.retries = out.attempts - 1;
-      success_total.inc();
-      attempts_total.inc(out.attempts);
-      retries_total.inc(out.retries);
       latency_ms.observe(out.total_latency.value());
       if (trace) {
         trace->attr(attempt_span, "outcome", "served");
         trace->set_duration(attempt_span, served->rtt);
-        trace->set_duration(trace->root(), out.total_latency);
-        tracer->record(trace->finish(/*failed=*/false));
       }
-      return out;
+      out.served = std::move(served);
+      break;
     }
     // Timed out, lost, or no path: the client burns the attempt budget, then
     // backs off exponentially before trying again.
     const std::size_t outcome = !serving ? 0 : (!served ? 1 : (lost ? 2 : 3));
-    if (served && served->gateway) {
-      if (CircuitBreaker* breaker = breaker_for(*served->gateway)) {
-        breaker->record_failure(now);
-      }
-    }
+    if (breaker != nullptr) breaker->record_failure(now);
     attempt_failed[outcome].inc();
     if (trace) {
       trace->attr(attempt_span, "outcome", kOutcomes[outcome]);
@@ -604,19 +564,20 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
       if (deadline > 0.0) waited = std::min(waited, deadline);
     }
   }
+  if (!out.success) out.total_latency = Milliseconds{waited};
   out.retries = out.attempts == 0 ? 0 : out.attempts - 1;
-  out.total_latency = Milliseconds{waited};
-  failure_total.inc();
+  (out.success ? success_total : failure_total).inc();
   attempts_total.inc(out.attempts);
   retries_total.inc(out.retries);
   if (out.deadline_exceeded) deadline_total.inc();
   if (trace) {
     trace->set_duration(trace->root(), out.total_latency);
-    tracer->record(trace->finish(/*failed=*/true));
+    tracer->record(trace->finish(/*failed=*/!out.success));
   }
   // A fetch that exhausted every attempt is exactly the incident the flight
   // recorder exists for: dump the requests leading up to it.
-  if (auto* fr = obs::recorder()) fr->trip("fetch_resilient-exhausted", now);
+  auto* fr = obs::recorder();
+  if (!out.success && fr != nullptr) fr->trip("fetch_resilient-exhausted", now);
   return out;
 }
 

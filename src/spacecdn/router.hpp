@@ -37,11 +37,28 @@ enum class FetchTier {
 
 [[nodiscard]] std::string_view to_string(FetchTier tier) noexcept;
 
+/// Where a fetch's first-byte round trip went (simulated ms), in the
+/// components of Bose et al.'s Starlink web-latency study; each tier fills
+/// what it charges.  Tier (i): rtt == uplink*2 + service_overhead; tier (ii):
+/// rtt == (uplink + isl)*2 + service_overhead; tier (iii): rtt ==
+/// bent_pipe_rtt + access_overhead (+ site_origin_rtt on an edge miss).  A
+/// won hedge's rtt also carries the hedge delay.
+struct LatencyBreakdown {
+  Milliseconds uplink{0.0};            ///< one way, client -> serving satellite
+  Milliseconds service_overhead{0.0};  ///< satellite cache fetch (tiers i/ii)
+  Milliseconds isl{0.0};               ///< one way, serving -> holder (tier ii)
+  Milliseconds bent_pipe_rtt{0.0};     ///< propagation, client <-> edge site
+  Milliseconds access_overhead{0.0};   ///< Starlink access layer (tier iii)
+  Milliseconds pop_to_site{0.0};  ///< one way, PoP -> edge (inside bent_pipe_rtt)
+  Milliseconds site_origin_rtt{0.0};   ///< edge site <-> origin (tier iii)
+};
+
 /// Outcome of one SpaceCDN fetch.
 struct FetchResult {
   FetchTier tier = FetchTier::kGround;
   /// Client-observed first-byte round trip (includes access overhead).
   Milliseconds rtt{0.0};
+  LatencyBreakdown latency;
   std::uint32_t isl_hops = 0;     ///< hops used in tier (ii) / ground path
   std::uint32_t source_satellite = 0;  ///< holder for tiers (i)/(ii)
   bool ground_cache_hit = false;  ///< tier (iii): did the ground edge hit?
@@ -139,19 +156,20 @@ class SpaceCdnRouter {
   SpaceCdnRouter(const lsn::StarlinkNetwork& network, SatelliteFleet& fleet,
                  cdn::CdnDeployment& ground_cdn, RouterConfig config = {});
 
-  /// Serves one request from a client.  Returns nullopt when the client has
-  /// no satellite coverage.
+  /// Serves one request from a client through its highest-elevation
+  /// satellite, blind to faults.  Returns nullopt when the client has no
+  /// satellite coverage or no tier can serve.
   [[nodiscard]] std::optional<FetchResult> fetch(const geo::GeoPoint& client,
                                                  const data::CountryInfo& country,
                                                  const cdn::ContentItem& item,
                                                  des::Rng& rng, Milliseconds now);
 
   /// Fault-aware fetch with bounded retry, per-attempt timeout, and tier
-  /// escalation: offline satellites are never chosen to serve, crashed or
-  /// unreachable replica holders are skipped (tier ii falls through to the
-  /// ground), and failed gateways are routed around.  A fetch only fails
-  /// outright when every tier is unreachable on every attempt (e.g. total
-  /// coverage gap).
+  /// escalation: the highest-elevation online satellite serves (as in
+  /// `fetch` when nothing is down), crashed or unreachable replica holders
+  /// are skipped (tier ii falls through to the ground), and failed gateways
+  /// are routed around.  A fetch only fails outright when every tier is
+  /// unreachable on every attempt (e.g. total coverage gap).
   [[nodiscard]] ResilientFetchResult fetch_resilient(const geo::GeoPoint& client,
                                                      const data::CountryInfo& country,
                                                      const cdn::ContentItem& item,
@@ -217,16 +235,23 @@ class SpaceCdnRouter {
   };
 
   /// What the router knows of one client's sky for one ephemeris snapshot,
-  /// filled lazily: fetch's serving choice on the first fetch, the visible
-  /// list on the first resilient fetch.  Kept to 24 bytes: a run with
-  /// hundreds of thousands of terminals holds one entry per client.
+  /// filled lazily: the highest-elevation satellite and its slant range on
+  /// the first fetch of either kind, the visible satellites in rank order
+  /// only when the fault-aware chooser cannot take that one.  Kept to 24
+  /// bytes: a run with hundreds of thousands of terminals holds one entry
+  /// per client.
   struct ClientGeometry {
     static constexpr std::uint32_t kUnknown = 0xffffffffU;
     static constexpr std::uint32_t kUncovered = 0xfffffffeU;
     Kilometers serving_range{0.0};
-    std::uint32_t serving = kUnknown;        ///< or kUncovered
-    std::uint32_t visible_begin = kUnknown;  ///< into visible_
-    std::uint32_t visible_count = 0;
+    std::uint32_t serving = kUnknown;       ///< or kUncovered
+    std::uint32_t ranked_begin = kUnknown;  ///< into ranked_
+    std::uint32_t ranked_count = 0;
+    /// The highest-elevation satellite; nullopt in a coverage gap.
+    [[nodiscard]] std::optional<Candidate> top() const {
+      if (serving == kUncovered) return std::nullopt;
+      return Candidate{serving, serving_range};
+    }
   };
 
   /// A client's position by the bit patterns of its coordinates, so -0.0
@@ -241,21 +266,17 @@ class SpaceCdnRouter {
     std::size_t operator()(const ClientKey& key) const noexcept;
   };
 
-  /// The memo entry of `client` for the current snapshot; the whole memo is
-  /// dropped first when the snapshot epoch has moved since the last call.
+  /// The memo entry of `client` for the current snapshot, its highest-
+  /// elevation satellite (EphemerisSnapshot::serving_satellite) filled in;
+  /// the whole memo is dropped first when the snapshot epoch has moved.
   [[nodiscard]] ClientGeometry& client_geometry(const geo::GeoPoint& client) const;
 
-  /// The highest-elevation satellite above `client` and its slant range
-  /// (EphemerisSnapshot::serving_satellite, memoised); nullopt in a
-  /// coverage gap.
-  [[nodiscard]] std::optional<Candidate> serving_satellite(
-      const geo::GeoPoint& client) const;
-
-  /// The highest satellite above `client` that is online (fault-aware
-  /// variant of EphemerisSnapshot::serving_satellite), skipping `exclude`
-  /// (hedged requests need a second opinion) and preferring satellites the
-  /// serving filter accepts.  The visible list is memoised per snapshot;
-  /// liveness, the filter and `exclude` are checked on every call.
+  /// The fault-aware serving choice: in rank order (highest elevation
+  /// first, ties to the lowest id), the first satellite that is online, is
+  /// not `exclude` (a hedge needs a second opinion) and is accepted by the
+  /// serving filter; when the filter vetoes all of those, the first that is
+  /// online and not `exclude`.  The highest-elevation satellite is checked
+  /// first; the ranked list is built, once per snapshot, only when it fails.
   [[nodiscard]] std::optional<Candidate> healthy_serving_satellite(
       const geo::GeoPoint& client,
       std::optional<std::uint32_t> exclude = std::nullopt) const;
@@ -273,17 +294,31 @@ class SpaceCdnRouter {
   /// Points one breaker's transition hook at breaker_listener_.
   void wire_breaker(std::size_t gateway) const;
 
+  /// One attempt as data: the result with its latency breakdown, and why
+  /// each tier that did not serve passed the request on (tier ii only ever
+  /// misses with "no-replica").
+  struct Attempt {
+    FetchResult result;            ///< served when failure is empty
+    std::string_view tier_i_miss;  ///< "miss" / "cache-disabled"
+    std::string_view failure;  ///< tier iii: "unreachable" / "breaker-open"
+    bool admitted = false;  ///< pull-through admission into the serving cache
+    std::size_t pop = 0;    ///< tier (iii): the client's PoP
+    std::size_t site = 0;   ///< tier (iii): the ground edge that served
+  };
+
   /// One fault-aware attempt across the three tiers from `serving`, whose
-  /// slant range prices the uplink.  When a tracer is installed, tier spans
-  /// are appended to `trace` under `parent_span` (pass nullptr to skip
-  /// tracing).
-  [[nodiscard]] std::optional<FetchResult> attempt_from(Candidate serving,
-                                                        const geo::GeoPoint& client,
-                                                        const data::CountryInfo& country,
-                                                        const cdn::ContentItem& item,
-                                                        des::Rng& rng, Milliseconds now,
-                                                        obs::TraceBuilder* trace,
-                                                        std::uint32_t parent_span);
+  /// slant range prices the uplink.  Tier logic only: no telemetry.
+  [[nodiscard]] Attempt attempt_from(Candidate serving, const geo::GeoPoint& client,
+                                     const data::CountryInfo& country,
+                                     const cdn::ContentItem& item, des::Rng& rng,
+                                     Milliseconds now);
+
+  /// Emits an attempt's counters, histograms and (when `trace` is non-null)
+  /// tier spans under `parent_span`, each starting at `start`, then hands
+  /// over its result (nullopt when tier (iii) failed).
+  [[nodiscard]] std::optional<FetchResult> finish_attempt(
+      Attempt attempt, obs::TraceBuilder* trace, std::uint32_t parent_span,
+      Milliseconds start) const;
 
   /// Tier (iii)'s ground-CDN edge for one PoP and the two legs through it.
   struct GroundSite {
@@ -309,13 +344,13 @@ class SpaceCdnRouter {
   BreakerListener breaker_listener_;
   std::vector<std::optional<GroundSite>> ground_sites_;  ///< per PoP index
   /// Per-client sky geometry, valid for snapshot epoch geometry_epoch_ only
-  /// (epochs are process-globally monotonic, so no ABA).  Visible lists of
-  /// all clients share one pool, in ascending satellite id per client.  Not
-  /// synchronised: like the breakers, it belongs to the one thread that
-  /// drives this router (every fetch mutates the fleet's caches anyway).
+  /// (epochs are process-globally monotonic, so no ABA).  Ranked lists of
+  /// all clients share one pool.  Not synchronised: like the breakers, it
+  /// belongs to the one thread that drives this router (every fetch mutates
+  /// the fleet's caches anyway).
   mutable std::uint64_t geometry_epoch_ = 0;
   mutable std::unordered_map<ClientKey, ClientGeometry, ClientKeyHash> geometry_;
-  mutable std::vector<Candidate> visible_;
+  mutable std::vector<std::uint32_t> ranked_;
 };
 
 }  // namespace spacecdn::space

@@ -6,6 +6,7 @@
 
 #include "cdn/deployment.hpp"
 #include "data/datasets.hpp"
+#include "geo/visibility.hpp"
 #include "lsn/starlink.hpp"
 #include "spacecdn/fleet.hpp"
 #include "spacecdn/lookup.hpp"
@@ -206,16 +207,18 @@ TEST(Failures, ResilientFetchAccountingConsistentUnderFaults) {
   ASSERT_TRUE(preferred.has_value());
   fleet.set_online(*preferred, false);
 
-  // The fault-aware serving choice: the nearest *online* visible satellite.
+  // The fault-aware serving choice: the highest-elevation *online* visible
+  // satellite (exact ties to the lowest id).
   std::optional<std::uint32_t> fallback;
-  double best_range = 0.0;
+  double best_elevation = 0.0;
   for (const std::uint32_t sat :
        network.snapshot().visible_satellites(client, min_elev)) {
     if (!fleet.online(sat)) continue;
-    const double range = network.snapshot().slant_range(client, sat).value();
-    if (!fallback || range < best_range) {
+    const double elevation =
+        geo::elevation_angle_deg(client, network.snapshot().position(sat));
+    if (!fallback || elevation > best_elevation) {
       fallback = sat;
-      best_range = range;
+      best_elevation = elevation;
     }
   }
   ASSERT_TRUE(fallback.has_value());

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "des/random.hpp"
+#include "geo/visibility.hpp"
 #include "lsn/starlink.hpp"
 #include "orbit/ephemeris.hpp"
 #include "orbit/walker.hpp"
@@ -81,7 +82,7 @@ TEST(MultiShellEphemerisTest, IndexedQueriesMatchBruteForceAllPresets) {
     for (int i = 0; i < 200; ++i) {
       const geo::GeoPoint ground{rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0),
                                  0.0};
-      for (const double min_elev : {10.0, 25.0, 40.0}) {
+      for (const double min_elev : {0.0, 10.0, 25.0, 40.0}) {
         const auto indexed = snapshot.visible_satellites(ground, min_elev);
         const auto scanned = snapshot.visible_satellites_scan(ground, min_elev);
         ASSERT_EQ(indexed, scanned)
@@ -90,6 +91,20 @@ TEST(MultiShellEphemerisTest, IndexedQueriesMatchBruteForceAllPresets) {
         EXPECT_EQ(snapshot.serving_satellite(ground, min_elev),
                   snapshot.serving_satellite_scan(ground, min_elev))
             << name << " lat " << ground.lat_deg << " lon " << ground.lon_deg;
+        // Serving rank order: by scalar elevation, highest first, ties to
+        // the lowest id (a stable sort of the ascending scan).
+        auto ranked = scanned;
+        std::stable_sort(ranked.begin(), ranked.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                           return geo::elevation_angle_deg(ground, snapshot.position(a)) >
+                                  geo::elevation_angle_deg(ground, snapshot.position(b));
+                         });
+        const auto got = snapshot.ranked_visible_satellites(ground, min_elev);
+        EXPECT_EQ(got, ranked) << name << " lat " << ground.lat_deg << " lon "
+                               << ground.lon_deg << " elev " << min_elev;
+        if (!got.empty()) {
+          EXPECT_EQ(got.front(), snapshot.serving_satellite(ground, min_elev));
+        }
       }
     }
   }

@@ -793,6 +793,42 @@ TEST(RouterTelemetry, ResilientTraceChildrenSumToTotal) {
   EXPECT_NEAR(trace.total().value(), result.total_latency.value(), 1e-9);
 }
 
+TEST(RouterTelemetry, HedgeTierSpansStartWhereTheHedgeIsIssued) {
+  // A cold object is served from the ground, far slower than a 0.01 ms
+  // hedge delay, so every served attempt races a hedge.  The primary's tier
+  // spans start with the attempt; the hedge's start hedge_delay later.
+  const auto& net = shell1();
+  space::SatelliteFleet fleet(net.constellation().size(),
+                              space::FleetConfig{Megabytes{1000.0}});
+  cdn::CdnDeployment ground(data::cdn_sites(), {});
+  space::RouterConfig config;
+  config.admit_on_fetch = false;
+  config.resilience.hedge_delay = Milliseconds{0.01};
+  space::SpaceCdnRouter router(net, fleet, ground, config);
+
+  TelemetrySession session;
+  session.tracer().set_retain(1);
+  des::Rng rng(8);
+  const auto result = router.fetch_resilient(data::location(data::city("Maputo")),
+                                             data::country("MZ"), item(7), rng,
+                                             Milliseconds{0.0});
+  ASSERT_TRUE(result.success);
+  ASSERT_TRUE(result.hedged);
+
+  const Trace& trace = session.tracer().last();
+  std::vector<const TraceSpan*> tiers;  // tier spans under the attempt, in order
+  for (const TraceSpan& span : trace.spans) {
+    if (span.name.rfind("tier:", 0) == 0) tiers.push_back(&span);
+  }
+  // Primary: serving-satellite miss, no replica, ground; the hedge repeats
+  // the three from the second satellite.
+  ASSERT_EQ(tiers.size(), 6u);
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    EXPECT_EQ(tiers[i]->start.value(), i < 3 ? 0.0 : 0.01) << tiers[i]->name;
+  }
+  EXPECT_EQ(tiers[3]->name, "tier:serving-satellite");
+}
+
 TEST(RouterTelemetry, ExhaustedFetchTripsFlightRecorder) {
   const auto& net = shell1();
   space::SatelliteFleet fleet(net.constellation().size(),

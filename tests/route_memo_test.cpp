@@ -1,11 +1,14 @@
 // Differential tests for the per-snapshot routing memos: BentPipeRouter's
 // (serving satellite, PoP) legs, IslNetwork's BFS hop rings, and
-// SpaceCdnRouter's ground site per PoP and serving geometry per client.
+// SpaceCdnRouter's ground site per PoP and serving geometry per client --
+// plus the serving rule itself: fetch_resilient's fault-aware choice against
+// a brute-force elevation ranking.
 // Each memoised answer must equal the from-scratch computation bit for bit,
 // across gateway flips, satellite fail/recover and ephemeris advances, and
 // under concurrent queries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <optional>
@@ -15,6 +18,7 @@
 #include "cdn/deployment.hpp"
 #include "data/datasets.hpp"
 #include "des/random.hpp"
+#include "geo/visibility.hpp"
 #include "lsn/starlink.hpp"
 #include "net/graph.hpp"
 #include "spacecdn/fleet.hpp"
@@ -382,6 +386,127 @@ TEST(RouteMemo, ClientGeometryMatchesFreshRouter) {
       }
     }
   }
+}
+
+/// The serving rule by brute force: every satellite visible_satellites_scan
+/// finds, ranked by the scalar elevation (highest first, ties to the lowest
+/// id); the first that is online, not `exclude` and not vetoed, else the
+/// first that is online and not `exclude`.
+std::optional<std::uint32_t> reference_choice(const lsn::StarlinkNetwork& net,
+                                              const space::SatelliteFleet& fleet,
+                                              const geo::GeoPoint& client,
+                                              const std::vector<std::uint32_t>& vetoed,
+                                              std::optional<std::uint32_t> exclude) {
+  const auto& snapshot = net.snapshot();
+  std::vector<std::pair<double, std::uint32_t>> ranked;
+  for (const std::uint32_t sat : snapshot.visible_satellites_scan(client, 25.0)) {
+    ranked.emplace_back(geo::elevation_angle_deg(client, snapshot.position(sat)), sat);
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  std::optional<std::uint32_t> fallback;
+  for (const auto& [elevation, sat] : ranked) {
+    if (!fleet.online(sat) || sat == exclude) continue;
+    if (std::find(vetoed.begin(), vetoed.end(), sat) == vetoed.end()) return sat;
+    if (!fallback) fallback = sat;
+  }
+  return fallback;
+}
+
+TEST(ServingRule, FaultAwareChooserMatchesElevationRule) {
+  // fetch_resilient's serving satellite against fetch's (nothing down) and
+  // against the brute-force elevation rule (seeded offline sets, a vetoing
+  // serving filter, and the hedge's `exclude`), on every preset at three
+  // snapshot times.  The object is cached on every visible satellite but
+  // the primary choice, with no ISL lookup: the primary serves from the
+  // ground and a 0.01 ms hedge from a satellite cache, so a won hedge
+  // reveals the second choice.
+  std::size_t total_hedges_won = 0;
+  for (std::size_t p = 0; p < kPresets.size(); ++p) {
+    const char* preset = kPresets[p];
+    lsn::StarlinkNetwork net(lsn::starlink_preset(preset));
+    CdnState state(net.constellation().size());
+    space::RouterConfig config;
+    config.admit_on_fetch = false;
+    config.max_isl_hops = 0;
+    config.resilience.max_attempts = 1;
+    space::SpaceCdnRouter router(net, state.fleet, state.ground, config);
+    des::Rng rng(des::mix_seed(41, p));
+    std::size_t compared = 0;
+    std::size_t hedges_won = 0;
+    cdn::ContentId next_id = 0;
+    for (const double t_s : {0.0, 15.0, 137.0}) {
+      net.set_time(Milliseconds::from_seconds(t_s));
+      for (int q = 0; q < 40; ++q) {
+        const std::string where = std::string(preset) + " t=" + std::to_string(t_s) +
+                                  "s point " + std::to_string(q);
+        const geo::GeoPoint client = random_client(rng);
+        const data::CountryInfo& country = random_country(rng);
+        const cdn::ContentItem item{next_id++, Megabytes{1.0}, data::Region::kEurope};
+        const auto top = net.snapshot().serving_satellite(client, 25.0);
+
+        // Nothing down, no filter, no hedge: the same satellite as fetch.
+        router.set_serving_filter({});
+        router.set_hedge_delay(Milliseconds{0.0});
+        des::Rng fetch_rng = rng;
+        des::Rng resilient_rng = rng;
+        const Milliseconds now{0.0};
+        const auto fetched = router.fetch(client, country, item, fetch_rng, now);
+        const auto resilient =
+            router.fetch_resilient(client, country, item, resilient_rng, now);
+        ASSERT_EQ(resilient.success, fetched.has_value()) << where;
+        if (fetched) {
+          ++compared;
+          EXPECT_EQ(fetched->serving_satellite, *top) << where;
+          EXPECT_EQ(resilient.served->serving_satellite, fetched->serving_satellite)
+              << where;
+        }
+        if (!top) continue;
+
+        // Take some of the highest-ranked satellites offline and veto others.
+        const auto visible = net.snapshot().visible_satellites_scan(client, 25.0);
+        std::vector<std::uint32_t> offline;
+        std::vector<std::uint32_t> vetoed;
+        const bool veto_all = rng.chance(0.15);
+        for (const std::uint32_t sat : visible) {
+          if (rng.chance(sat == *top ? 0.6 : 0.3)) {
+            offline.push_back(sat);
+            state.fleet.set_online(sat, false);
+          } else if (veto_all || rng.chance(0.3)) {
+            vetoed.push_back(sat);
+          }
+        }
+        router.set_serving_filter([&vetoed](std::uint32_t sat) {
+          return std::find(vetoed.begin(), vetoed.end(), sat) == vetoed.end();
+        });
+        router.set_hedge_delay(Milliseconds{0.01});
+        const auto primary =
+            reference_choice(net, state.fleet, client, vetoed, std::nullopt);
+        const auto second =
+            primary ? reference_choice(net, state.fleet, client, vetoed, *primary)
+                    : std::nullopt;
+        for (const std::uint32_t sat : visible) {
+          if (sat != primary) (void)state.fleet.cache(sat).insert(item, now);
+        }
+        const auto got = router.fetch_resilient(client, country, item, rng, now);
+        if (!primary) {
+          EXPECT_FALSE(got.success) << where;
+        }
+        if (got.success) {
+          ASSERT_TRUE(primary.has_value()) << where;
+          const std::uint32_t want = got.hedge_won ? *second : *primary;
+          EXPECT_EQ(got.served->serving_satellite, want) << where;
+          if (got.hedge_won) ++hedges_won;
+        }
+        for (const std::uint32_t sat : offline) state.fleet.set_online(sat, true);
+      }
+    }
+    EXPECT_GT(compared, 0u) << preset;
+    EXPECT_GT(hedges_won, 0u) << preset;
+    total_hedges_won += hedges_won;
+  }
+  EXPECT_GE(total_hedges_won, 300u);
 }
 
 TEST(RouteMemo, ConcurrentQueriesMatchSerial) {

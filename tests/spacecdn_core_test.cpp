@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
+#include <vector>
 
 #include "data/datasets.hpp"
+#include "geo/propagation.hpp"
 #include "sim/world.hpp"
 #include "spacecdn/bubbles.hpp"
 #include "spacecdn/duty_cycle.hpp"
@@ -345,6 +349,96 @@ TEST(Router, NoCoverageReturnsNullopt) {
   des::Rng rng(7);
   EXPECT_FALSE(
       router.fetch({89.0, 0.0, 0.0}, data::country("US"), item(5), rng, kNow).has_value());
+}
+
+/// Checks one served fetch's latency breakdown: the components sum to the
+/// RTT bit for bit as its tier prices it, the uplink is the client's slant
+/// range to the serving satellite at c, the tier-(ii) ISL leg is the
+/// shortest ISL latency, and the RTT is at least the 2*slant/c floor.
+void expect_physical(const lsn::StarlinkNetwork& net, const geo::GeoPoint& client,
+                     const FetchResult& r, const std::string& where) {
+  const LatencyBreakdown& l = r.latency;
+  const Milliseconds floor = geo::propagation_delay(
+      net.snapshot().slant_range(client, r.serving_satellite), geo::Medium::kVacuum);
+  EXPECT_EQ(l.uplink.value(), floor.value()) << where;
+  EXPECT_GE(r.rtt.value(), floor.value() * 2.0) << where;
+  switch (r.tier) {
+    case FetchTier::kServingSatellite:
+      EXPECT_EQ(r.rtt.value(), (l.uplink * 2.0 + l.service_overhead).value()) << where;
+      break;
+    case FetchTier::kIslNeighbor:
+      EXPECT_EQ(r.rtt.value(), ((l.uplink + l.isl) * 2.0 + l.service_overhead).value())
+          << where;
+      EXPECT_EQ(l.isl.value(), net.isl()
+                                   .sssp_from(r.serving_satellite)
+                                   ->distance(r.source_satellite)
+                                   .value())
+          << where;
+      break;
+    case FetchTier::kGround: {
+      const Milliseconds edge = l.bent_pipe_rtt + l.access_overhead;
+      EXPECT_EQ(r.rtt.value(),
+                (r.ground_cache_hit ? edge : edge + l.site_origin_rtt).value())
+          << where;
+      EXPECT_GE(l.bent_pipe_rtt.value(), floor.value() * 2.0) << where;
+      break;
+    }
+  }
+}
+
+TEST(Router, LatencyBreakdownSumsToRttAbovePhysicalFloor) {
+  // A seeded request stream on a single- and a multi-shell preset, through
+  // fetch and fetch_resilient, once with record_paths and once without:
+  // every served RTT is its tier's sum of components, and recording paths
+  // changes no latency (recorded paths start at the serving satellite).
+  for (const char* preset : {"shell1", "starlink-4shell"}) {
+    lsn::StarlinkNetwork net(lsn::starlink_preset(preset));
+    const std::uint32_t sats = net.constellation().size();
+    std::array<std::size_t, 3> tiers{};
+    std::vector<double> rtts[2];
+    for (const bool record_paths : {false, true}) {
+      SatelliteFleet fleet(sats, small_fleet_config());
+      cdn::CdnDeployment ground(data::cdn_sites(), {});
+      RouterConfig cfg;
+      cfg.record_paths = record_paths;
+      SpaceCdnRouter router(net, fleet, ground, cfg);
+      des::Rng rng(53);
+      // Half the catalog sits on a random fifth of the fleet (tier ii, some
+      // tier i); the rest starts on the ground and is admitted on fetch.
+      for (cdn::ContentId id = 0; id < 10; ++id) {
+        for (std::uint32_t sat = 0; sat < sats; ++sat) {
+          if (rng.chance(0.2)) (void)fleet.cache(sat).insert(item(id, 1.0), kNow);
+        }
+      }
+      std::vector<geo::GeoPoint> clients;
+      for (int c = 0; c < 8; ++c) {
+        clients.push_back({rng.uniform(-50.0, 50.0), rng.uniform(-180.0, 180.0), 0.0});
+      }
+      for (int q = 0; q < 300; ++q) {
+        const std::string where = std::string(preset) + " request " + std::to_string(q);
+        const geo::GeoPoint& client = clients[rng.uniform_int(0, clients.size() - 1)];
+        const cdn::ContentItem object = item(rng.uniform_int(0, 19), 1.0);
+        const Milliseconds now{q * 10.0};
+        std::optional<FetchResult> served;
+        if (q % 2 == 0) {
+          served = router.fetch(client, data::country("US"), object, rng, now);
+        } else {
+          served = router.fetch_resilient(client, data::country("US"), object, rng, now)
+                       .served;
+        }
+        rtts[record_paths].push_back(served ? served->rtt.value() : -1.0);
+        if (!served) continue;
+        ++tiers[static_cast<std::size_t>(served->tier)];
+        expect_physical(net, client, *served, where);
+        if (record_paths && served->tier != FetchTier::kServingSatellite) {
+          ASSERT_FALSE(served->isl_path.empty()) << where;
+          EXPECT_EQ(served->isl_path.front(), served->serving_satellite) << where;
+        }
+      }
+    }
+    EXPECT_EQ(rtts[0], rtts[1]) << preset;
+    for (const std::size_t n : tiers) EXPECT_GT(n, 0u) << preset;
+  }
 }
 
 TEST(DutyCycle, NewSlotEnablesRequestedFraction) {
