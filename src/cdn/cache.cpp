@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "cdn/residency_index.hpp"
 #include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
@@ -61,6 +62,21 @@ void Cache::note_reject_oversized() {
   if (telemetry_) telemetry_->reject_oversized.inc();
 }
 
+void Cache::track_residency(ResidencyIndex* index, std::uint32_t holder) {
+  SPACECDN_EXPECT(index == nullptr || object_count() == 0,
+                  "attach a residency index to an empty cache");
+  residency_ = index;
+  residency_holder_ = holder;
+}
+
+void Cache::note_stored(ContentId id) {
+  if (residency_ != nullptr) residency_->add(id, residency_holder_);
+}
+
+void Cache::note_dropped(ContentId id) {
+  if (residency_ != nullptr) residency_->remove(id, residency_holder_);
+}
+
 // ----------------------------------------------------------- SlotListCache
 
 namespace {
@@ -114,6 +130,7 @@ bool SlotListCache::insert(const ContentItem& item, Milliseconds /*now*/) {
   ++count_;
   used_ += item.size;
   note_insert();
+  note_stored(item.id);
   return true;
 }
 
@@ -125,6 +142,9 @@ bool SlotListCache::erase(ContentId id) {
 }
 
 void SlotListCache::clear() {
+  for (std::uint32_t slot = head_; slot != kNone; slot = slots_[slot].next) {
+    note_dropped(slots_[slot].id);
+  }
   slots_.clear();
   std::fill(index_.begin(), index_.end(), kNone);
   free_ = head_ = tail_ = kNone;
@@ -179,6 +199,7 @@ void SlotListCache::rebuild_index(std::size_t size) {
 
 void SlotListCache::remove(std::uint32_t pos) {
   const std::uint32_t slot = index_[pos];
+  const ContentId id = slots_[slot].id;
   used_ -= slots_[slot].size;
   unlink(slot);
   slots_[slot].prev = kFree;
@@ -200,6 +221,7 @@ void SlotListCache::remove(std::uint32_t pos) {
     }
   }
   index_[hole] = kNone;
+  note_dropped(id);
 }
 
 void SlotListCache::link_front(std::uint32_t slot) noexcept {
@@ -270,6 +292,7 @@ bool LfuCache::insert(const ContentItem& item, Milliseconds /*now*/) {
   index_[item.id] = bucket.begin();
   used_ += item.size;
   note_insert();
+  note_stored(item.id);
   return true;
 }
 
@@ -281,10 +304,12 @@ bool LfuCache::erase(ContentId id) {
   bucket_it->second.erase(it->second);
   if (bucket_it->second.empty()) buckets_.erase(bucket_it);
   index_.erase(it);
+  note_dropped(id);
   return true;
 }
 
 void LfuCache::clear() {
+  for (const auto& [id, entry] : index_) note_dropped(id);
   buckets_.clear();
   index_.clear();
   used_ = Megabytes{0.0};
@@ -309,11 +334,13 @@ void LfuCache::evict_one() {
   Bucket& lowest = buckets_.begin()->second;
   // Within the lowest frequency, the least recently touched sits at the back.
   const Entry& victim = lowest.back();
+  const ContentId id = victim.id;
   used_ -= victim.size;
-  index_.erase(victim.id);
+  index_.erase(id);
   lowest.pop_back();
   if (lowest.empty()) buckets_.erase(buckets_.begin());
   note_evict();
+  note_dropped(id);
 }
 
 // ----------------------------------------------------------------- factory

@@ -40,6 +40,8 @@ struct CacheStats {
 /// per-event cost at a pointer bump instead of a registry name lookup.
 struct CacheTelemetry;
 
+class ResidencyIndex;
+
 /// Abstract capacity-bounded object cache.
 ///
 /// Methods take the current simulation time so that a time-aware policy
@@ -90,6 +92,12 @@ class Cache {
     return telemetry_tier_;
   }
 
+  /// Reports every object that enters or leaves this cache's storage from
+  /// now on (insert, eviction, erase, clear) to `index` as holder `holder`;
+  /// nullptr detaches.  The cache must be empty when it is attached, so the
+  /// index never misses an object.
+  void track_residency(ResidencyIndex* index, std::uint32_t holder);
+
  protected:
   // Policy implementations report through these so the registry sees every
   // hit/miss/insert/eviction with the owning tier's label.
@@ -98,6 +106,9 @@ class Cache {
   void note_insert();
   void note_evict();
   void note_reject_oversized();
+  // Every object entering or leaving storage is reported through these.
+  void note_stored(ContentId id);
+  void note_dropped(ContentId id);
 
   Megabytes capacity_;
   Megabytes used_{0.0};
@@ -106,6 +117,8 @@ class Cache {
  private:
   std::string telemetry_tier_;
   std::unique_ptr<CacheTelemetry> telemetry_;
+  ResidencyIndex* residency_ = nullptr;
+  std::uint32_t residency_holder_ = 0;
 };
 
 /// Storage shared by the two recency-ordered policies (LRU and FIFO).

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cdn/cache.hpp"
+#include "cdn/residency_index.hpp"
 
 namespace spacecdn::space {
 
@@ -23,7 +24,8 @@ struct FleetConfig {
 };
 
 /// Per-satellite caches plus the duty-cycle mask (which satellites currently
-/// *serve* as caches; the rest only relay).
+/// *serve* as caches; the rest only relay), and a residency index over the
+/// caches (see residency()).
 class SatelliteFleet {
  public:
   SatelliteFleet(std::uint32_t satellite_count, const FleetConfig& config);
@@ -67,6 +69,15 @@ class SatelliteFleet {
   /// True when `sat` is cache-enabled and holds `id` (no stats update).
   [[nodiscard]] bool holds(std::uint32_t sat, cdn::ContentId id) const;
 
+  /// Which satellites' caches store each object, whether or not they are
+  /// cache-enabled (holder h is satellite h).  Every cache reports to it, so
+  /// it stays exact under any mix of inserts, evictions, erases and
+  /// crashes.  nullptr for a fleet of more than ResidencyIndex::kMaxCaches
+  /// satellites.
+  [[nodiscard]] const cdn::ResidencyIndex* residency() const noexcept {
+    return residency_.get();
+  }
+
   /// Aggregated stats over all satellite caches.
   [[nodiscard]] cdn::CacheStats aggregate_stats() const noexcept;
 
@@ -74,11 +85,20 @@ class SatelliteFleet {
   [[nodiscard]] Megabytes total_capacity() const noexcept;
 
  private:
+  // Bits of flags_; a satellite serves as a cache when all three are set.
+  static constexpr std::uint8_t kEnabled = 1;  // duty cycle
+  static constexpr std::uint8_t kOnline = 2;   // satellite powered (fault injection)
+  static constexpr std::uint8_t kCacheUp = 4;  // cache process alive (a crash empties it)
+  static constexpr std::uint8_t kServing = kEnabled | kOnline | kCacheUp;
+
+  [[nodiscard]] bool flag(std::uint32_t sat, std::uint8_t bit) const;
+  void set_flag(std::uint32_t sat, std::uint8_t bit, bool on);
+
   FleetConfig config_;
   std::vector<std::unique_ptr<cdn::Cache>> caches_;
-  std::vector<bool> enabled_;
-  std::vector<bool> online_;    // whole-satellite power (fault injection)
-  std::vector<bool> cache_up_;  // cache process alive (crashes drop contents)
+  std::vector<std::uint8_t> flags_;
+  // Heap-held so the caches' pointers to it survive a move of the fleet.
+  std::unique_ptr<cdn::ResidencyIndex> residency_;
 };
 
 }  // namespace spacecdn::space

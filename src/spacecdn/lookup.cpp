@@ -1,5 +1,7 @@
 #include "spacecdn/lookup.hpp"
 
+#include <algorithm>
+
 namespace spacecdn::space {
 
 namespace {
@@ -35,6 +37,19 @@ std::optional<LookupResult> bfs_find(const lsn::IslNetwork& isl, std::uint32_t o
 std::optional<LookupResult> find_replica(const lsn::IslNetwork& isl,
                                          const SatelliteFleet& fleet, std::uint32_t origin,
                                          cdn::ContentId id, std::uint32_t max_hops) {
+  // The residency index says who stores `id`; each predicate below equals
+  // fleet.holds(sat, id), so the walk and its answer are the probe walk's.
+  const cdn::ResidencyIndex* index = fleet.residency();
+  if (index != nullptr && index->tracks(id)) {
+    if (index->copies(id) == 0) return std::nullopt;
+    if (const auto holders = index->holders(id)) {
+      return bfs_find(isl, origin, max_hops, [&](std::uint32_t sat) {
+        return std::find(holders->begin(), holders->end(), sat) != holders->end() &&
+               fleet.cache_enabled(sat);
+      });
+    }
+  }
+  // An unlisted (popular) object or an untracked id: probe each cache.
   return bfs_find(isl, origin, max_hops,
                   [&](std::uint32_t sat) { return fleet.holds(sat, id); });
 }

@@ -26,7 +26,11 @@ struct LookupResult {
 
 /// Finds the hop-nearest cache-enabled satellite holding `id`, searching at
 /// most `max_hops` ISL hops from `origin`.  Returns nullopt when no replica
-/// is within the budget.
+/// is within the budget.  The fleet's residency index answers "no copy
+/// anywhere" without a walk, and while it lists an object's holders (a rare
+/// object, see cdn::ResidencyIndex) the walk compares against that list
+/// instead of probing each satellite's cache; the answer is the same in
+/// every case.
 [[nodiscard]] std::optional<LookupResult> find_replica(const lsn::IslNetwork& isl,
                                                        const SatelliteFleet& fleet,
                                                        std::uint32_t origin,

@@ -140,14 +140,14 @@ std::optional<FetchResult> SpaceCdnRouter::fetch(const geo::GeoPoint& client,
   if (!serving) {
     static obs::CounterHandle no_coverage{"spacecdn_fetch_no_coverage_total"};
     no_coverage.inc();
-    if (trace) tracer->record(trace->finish(/*failed=*/true));
+    if (tracer != nullptr) tracer->record(trace->finish(/*failed=*/true));
     return std::nullopt;
   }
 
   auto result = finish_attempt(attempt_from(*serving, client, country, item, rng, now),
                                trace ? &*trace : nullptr, obs::kNoParent,
                                Milliseconds{0.0});
-  if (trace) {
+  if (tracer != nullptr) {
     if (result) trace->set_duration(trace->root(), result->rtt);
     tracer->record(trace->finish(/*failed=*/!result.has_value()));
   }
@@ -505,16 +505,17 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
       // request from the next-best serving satellite; the client keeps
       // whichever lands first (tail-at-scale's deferred hedging, so at most
       // ~the slowest percentile of requests pay the extra fetch).
-      if (rc.hedge_delay.value() > 0.0 && served->rtt > rc.hedge_delay) {
+      // A client that sees no second usable satellite sends no hedge.
+      const auto second = rc.hedge_delay.value() > 0.0 && served->rtt > rc.hedge_delay
+                              ? healthy_serving_satellite(client, serving->satellite)
+                              : std::nullopt;
+      if (second) {
         out.hedged = true;
         hedge_issued.inc();
-        const auto second = healthy_serving_satellite(client, serving->satellite);
-        std::optional<FetchResult> hedge;
-        if (second) {
-          // The hedge's spans start where it was issued.
-          hedge = finish_attempt(attempt_from(*second, client, country, item, rng, now),
-                                 tb, attempt_span, Milliseconds{waited} + rc.hedge_delay);
-        }
+        // The hedge's spans start where it was issued.
+        std::optional<FetchResult> hedge =
+            finish_attempt(attempt_from(*second, client, country, item, rng, now), tb,
+                           attempt_span, Milliseconds{waited} + rc.hedge_delay);
         const bool hedge_lost =
             hedge && rc.transient_loss > 0.0 && rng.chance(rc.transient_loss);
         if (hedge && !hedge_lost) {
@@ -570,7 +571,7 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
   attempts_total.inc(out.attempts);
   retries_total.inc(out.retries);
   if (out.deadline_exceeded) deadline_total.inc();
-  if (trace) {
+  if (tracer != nullptr) {
     trace->set_duration(trace->root(), out.total_latency);
     tracer->record(trace->finish(/*failed=*/!out.success));
   }

@@ -829,6 +829,51 @@ TEST(RouterTelemetry, HedgeTierSpansStartWhereTheHedgeIsIssued) {
   EXPECT_EQ(tiers[3]->name, "tier:serving-satellite");
 }
 
+TEST(RouterTelemetry, NoHedgeIsReportedWithoutASecondSatellite) {
+  // On the sparse test shell some clients see exactly one satellite.  A
+  // 0.01 ms hedge delay asks for a hedge on every served fetch, but there is
+  // no second satellite to send it from: nothing may report one.
+  lsn::StarlinkNetwork net(lsn::starlink_preset("test-shell"));
+  const double mask = net.config().user_min_elevation_deg;
+  std::vector<geo::GeoPoint> clients;
+  for (double lat = -60.0; lat <= 60.0 && clients.size() < 5; lat += 3.0) {
+    for (double lon = -180.0; lon < 180.0 && clients.size() < 5; lon += 7.0) {
+      const geo::GeoPoint client{lat, lon, 0.0};
+      if (net.snapshot().visible_satellites_scan(client, mask).size() == 1) {
+        clients.push_back(client);
+      }
+    }
+  }
+  ASSERT_EQ(clients.size(), 5u);
+
+  space::SatelliteFleet fleet(net.constellation().size(),
+                              space::FleetConfig{Megabytes{1000.0}});
+  cdn::CdnDeployment ground(data::cdn_sites(), {});
+  space::RouterConfig config;
+  config.resilience.hedge_delay = Milliseconds{0.01};
+  space::SpaceCdnRouter router(net, fleet, ground, config);
+
+  TelemetrySession session;
+  session.tracer().set_retain(1);
+  des::Rng rng(9);
+  std::size_t served = 0;
+  for (const geo::GeoPoint& client : clients) {
+    for (cdn::ContentId id = 0; id < 4; ++id) {
+      const auto result = router.fetch_resilient(client, data::country("US"), item(id),
+                                                 rng, Milliseconds{0.0});
+      if (!result.success) continue;
+      ++served;
+      EXPECT_FALSE(result.hedged);
+      EXPECT_FALSE(result.hedge_won);
+      for (const TraceSpan& span : session.tracer().last().spans) {
+        for (const auto& [key, value] : span.attrs) EXPECT_NE(key, "hedged");
+      }
+    }
+  }
+  EXPECT_GT(served, 0u);
+  EXPECT_EQ(session.metrics().counter_value("spacecdn_hedge_issued_total"), 0u);
+}
+
 TEST(RouterTelemetry, ExhaustedFetchTripsFlightRecorder) {
   const auto& net = shell1();
   space::SatelliteFleet fleet(net.constellation().size(),

@@ -206,6 +206,133 @@ TEST(Lookup, SkipsDisabledCaches) {
   EXPECT_FALSE(find_replica(net.isl(), fleet, 0, 8, 5).has_value());
 }
 
+/// find_replica's reference walk: the hop ring with fleet.holds probed on
+/// every satellite, the minimal-hop-ring cut and the strict-less latency
+/// tie-break.
+std::optional<LookupResult> probe_find_replica(const lsn::IslNetwork& isl,
+                                               const SatelliteFleet& fleet,
+                                               std::uint32_t origin, cdn::ContentId id,
+                                               std::uint32_t max_hops) {
+  std::optional<LookupResult> best;
+  for (const net::HopDistance& hd : *isl.within_hops(origin, max_hops)) {
+    if (best && hd.hops > best->hops) break;
+    if (!fleet.holds(hd.node, id)) continue;
+    if (hd.node == origin) return LookupResult{origin, 0, Milliseconds{0.0}};
+    const Milliseconds latency = isl.sssp_from(origin)->distance(hd.node);
+    if (!best || latency < best->isl_latency) {
+      best = LookupResult{hd.node, hd.hops, latency};
+    }
+  }
+  return best;
+}
+
+TEST(Lookup, ResidencyIndexMatchesProbeWalkUnderChurn) {
+  // Random cache traffic on small evicting caches drives copy counts across
+  // kExactHolders in both directions and back to 0.  After every operation
+  // the index must agree with the caches, and find_replica with the probe
+  // walk, field by field.
+  lsn::StarlinkNetwork net(lsn::starlink_preset("test-shell"));
+  const std::uint32_t n = net.constellation().size();
+  constexpr std::uint32_t kK = cdn::ResidencyIndex::kExactHolders;
+  constexpr cdn::ContentId kIds = 24;
+  // Past every tracked id: the index must leave it to the probe walk.
+  constexpr cdn::ContentId kHugeId = (cdn::ContentId{1} << 63) - 3;
+  for (const cdn::CachePolicy policy :
+       {cdn::CachePolicy::kLru, cdn::CachePolicy::kFifo, cdn::CachePolicy::kLfu}) {
+    SCOPED_TRACE(std::string(cdn::to_string(policy)));
+    SatelliteFleet fleet(n, FleetConfig{Megabytes{8.0}, policy});
+    const cdn::ResidencyIndex* index = fleet.residency();
+    ASSERT_NE(index, nullptr);
+    ASSERT_FALSE(index->tracks(kHugeId));
+    des::Rng rng(des::mix_seed(77, static_cast<std::uint64_t>(policy)));
+    std::vector<bool> unlisted(kIds, false);  // the rule the index documents
+    std::size_t rises_past_k = 0;
+    std::size_t falls_to_k = 0;
+    std::size_t relisted = 0;
+    std::size_t found = 0;
+    const auto pick_id = [&]() -> cdn::ContentId {
+      if (rng.chance(0.05)) return kHugeId;
+      // A few hot ids collect many copies; the rest stay rare.
+      return rng.chance(0.5) ? rng.uniform_int(0, 3) : rng.uniform_int(0, kIds - 1);
+    };
+    for (int op = 0; op < 3000; ++op) {
+      const auto sat = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
+      const cdn::ContentId id = pick_id();
+      const std::uint64_t kind = rng.uniform_int(0, 99);
+      if (kind < 55) {
+        (void)fleet.cache(sat).insert(item(id, 1.0 + static_cast<double>(id % 3)), kNow);
+      } else if (kind < 70) {
+        (void)fleet.cache(sat).access(id, kNow);
+      } else if (kind < 88) {
+        // Erase the id from a run of satellites, now and then from all of
+        // them, so hot ids fall back to 0 too.
+        const std::uint32_t run = kind < 85 ? 16 : n;
+        for (std::uint32_t s = 0; s < run; ++s) {
+          (void)fleet.cache((sat + s) % n).erase(id);
+        }
+      } else if (kind < 92) {
+        fleet.crash_cache(sat);
+      } else if (kind < 95) {
+        fleet.restore_cache(sat);
+      } else if (kind < 98) {
+        fleet.set_online(sat, !fleet.online(sat));
+      } else {
+        std::vector<std::uint32_t> enabled;
+        for (std::uint32_t s = 0; s < n; ++s) {
+          if (rng.chance(0.8)) enabled.push_back(s);
+        }
+        fleet.set_enabled(enabled);
+      }
+
+      // The invariant: exact counts; a list, whenever the index gives one,
+      // is exactly the holders; and a list is given unless the count has
+      // passed kExactHolders since it was last 0.
+      for (cdn::ContentId c = 0; c < kIds; ++c) {
+        std::vector<std::uint16_t> want;
+        for (std::uint32_t s = 0; s < n; ++s) {
+          if (fleet.cache(s).contains(c)) want.push_back(static_cast<std::uint16_t>(s));
+        }
+        const auto copies = static_cast<std::uint32_t>(want.size());
+        if (copies > kK && !unlisted[c]) {
+          unlisted[c] = true;
+          ++rises_past_k;
+        }
+        if (copies == kK && unlisted[c]) ++falls_to_k;
+        if (copies == 0 && unlisted[c]) {
+          unlisted[c] = false;
+          ++relisted;
+        }
+        ASSERT_EQ(index->copies(c), copies) << "op " << op << " id " << c;
+        const auto holders = index->holders(c);
+        ASSERT_EQ(holders.has_value(), !unlisted[c]) << "op " << op << " id " << c;
+        if (holders) {
+          std::vector<std::uint16_t> got(holders->begin(), holders->end());
+          std::sort(got.begin(), got.end());
+          ASSERT_EQ(got, want) << "op " << op << " id " << c;
+        }
+      }
+
+      const auto origin = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
+      const cdn::ContentId wanted = pick_id();
+      const auto hops = static_cast<std::uint32_t>(rng.uniform_int(0, 10));
+      const auto got = find_replica(net.isl(), fleet, origin, wanted, hops);
+      const auto want = probe_find_replica(net.isl(), fleet, origin, wanted, hops);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+      if (got) {
+        ++found;
+        EXPECT_EQ(got->satellite, want->satellite) << "op " << op;
+        EXPECT_EQ(got->hops, want->hops) << "op " << op;
+        EXPECT_EQ(got->isl_latency.value(), want->isl_latency.value()) << "op " << op;
+      }
+    }
+    // The run crossed kExactHolders both ways and relisted objects at 0.
+    EXPECT_GT(rises_past_k, 0u);
+    EXPECT_GT(falls_to_k, 0u);
+    EXPECT_GT(relisted, 0u);
+    EXPECT_GT(found, 0u);
+  }
+}
+
 TEST(Lookup, FindEnabledCacheIgnoresContent) {
   const auto& net = shell1();
   SatelliteFleet fleet(net.constellation().size(), small_fleet_config());
