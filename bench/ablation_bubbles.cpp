@@ -94,6 +94,8 @@ int main(int argc, char** argv) {
                           ? 0.0
                           : static_cast<double>(base_scores[v].hits) /
                                 base_scores[v].total;
+    runner.checksum().add(hb);
+    runner.checksum().add(hp);
     table.add_row({viewers[v].first,
                    std::string(data::to_string(viewers[v].second)),
                    ConsoleTable::format_fixed(hb * 100.0, 1) + "%",

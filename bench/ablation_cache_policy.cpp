@@ -40,6 +40,8 @@ int main(int argc, char** argv) {
           const Milliseconds now{static_cast<double>(i)};
           if (!cache->access(id, now)) (void)cache->insert(catalog.item(id), now);
         }
+        runner.checksum().add(cache->stats().hit_rate());
+        runner.checksum().add(static_cast<double>(cache->stats().evictions));
         table.add_row({std::string(cdn::to_string(policy)),
                        ConsoleTable::format_fixed(capacity, 0),
                        ConsoleTable::format_fixed(zipf_s, 1),

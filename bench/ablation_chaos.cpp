@@ -24,7 +24,6 @@
 // still *measured* so the miss rates compare).  Points shard across the
 // pool and merge in order, so the FNV-1a checksum is bit-identical for any
 // --threads value (CI gates serial vs parallel like fig7/fig9).
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -114,13 +113,6 @@ ChaosPoint run_point(sim::World& world, const load::LoadConfig& config,
   return point;
 }
 
-std::string hex64(std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
 bool ends_with(const std::string& text, const std::string& suffix) {
   return text.size() >= suffix.size() &&
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -183,9 +175,7 @@ int main(int argc, char** argv) {
     runner.checksum().add(point.report.availability());
     runner.checksum().add(point.report.deadline_miss_fraction());
   }
-  std::cout << "sweep threads: " << runner.pool().thread_count()
-            << ", determinism checksum: " << runner.checksum().hex()
-            << " (identical for any --threads)\n\n";
+  std::cout << "sweep threads: " << runner.pool().thread_count() << "\n\n";
 
   // Sim-time observability artifacts.  Each point's series/timeline was
   // recorded inside its own (serial, deterministic) run; merging them here
@@ -198,7 +188,7 @@ int main(int argc, char** argv) {
       std::cerr << "warning: cannot write --series-out " << spec.series_out << "\n";
     } else {
       const bool jsonl = ends_with(spec.series_out, ".jsonl");
-      std::uint64_t combined = obs::kFnv1aBasis;
+      des::Fnv1aChecksum combined;
       for (std::size_t p = 0; p < results.size(); ++p) {
         const obs::TimeSeries& series = results[p].report.series;
         if (jsonl) {
@@ -206,9 +196,9 @@ int main(int argc, char** argv) {
         } else {
           series.write_csv(out, labels[p], /*header=*/p == 0);
         }
-        combined = obs::fnv1a_fold(combined, series.checksum());
+        combined.add_word(series.checksum());
       }
-      std::cout << "series checksum: " << hex64(combined) << " ("
+      std::cout << "series checksum: " << combined.hex() << " ("
                 << results[0].report.series.windows.size() << " windows/point) -> "
                 << spec.series_out << "\n";
     }
@@ -219,12 +209,12 @@ int main(int argc, char** argv) {
       std::cerr << "warning: cannot write --timeline-out " << spec.timeline_out
                 << "\n";
     } else {
-      std::uint64_t combined = obs::kFnv1aBasis;
+      des::Fnv1aChecksum combined;
       for (std::size_t p = 0; p < results.size(); ++p) {
         results[p].report.timeline.write_jsonl(out, labels[p]);
-        combined = obs::fnv1a_fold(combined, results[p].report.timeline.checksum());
+        combined.add_word(results[p].report.timeline.checksum());
       }
-      std::cout << "timeline checksum: " << hex64(combined) << " -> "
+      std::cout << "timeline checksum: " << combined.hex() << " -> "
                 << spec.timeline_out << "\n";
       for (std::size_t p = 0; p < results.size(); ++p) {
         const obs::IncidentTimeline& tl = results[p].report.timeline;

@@ -230,8 +230,6 @@ int main(int argc, char** argv) {
                "lost replicas -- while p99 and retry rate grow as MTBF falls "
                "and MTTR rises, and time-to-repair tracks the audit cadence "
                "plus the crash-recovery MTTR.\n";
-  std::cout << "determinism checksum: " << runner.checksum().hex()
-            << " (bit-identical across --threads)\n";
   runner.record("availability_accept", accept.availability);
   return runner.finish(accept.availability >= 0.99 && rerun == accept);
 }

@@ -84,8 +84,6 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   table.render(std::cout);
 
-  std::cout << "\ndeterminism checksum: " << runner.checksum().hex() << "\n";
-
   std::cout << "\nExpected shape: the 4-connected +grid degrades gracefully -- "
                "reachability stays near 100% and paths stretch only mildly "
                "until failures reach tens of percent.\n";

@@ -60,9 +60,7 @@ int main(int argc, char** argv) {
   for (const load::LoadReport& report : reports) {
     for (const double v : report.latency_ms.raw()) runner.checksum().add(v);
   }
-  std::cout << "sweep threads: " << runner.pool().thread_count()
-            << ", determinism checksum: " << runner.checksum().hex()
-            << " (identical for any --threads)\n\n";
+  std::cout << "sweep threads: " << runner.pool().thread_count() << "\n\n";
 
   runner.csv() << "multiplier,offered_rps,offered,completed,rejected,"
                   "reject_fraction,p50_ms,p95_ms,p99_ms,goodput_mbps,"

@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
     }
   }
   table.render(std::cout);
-  std::cout << "determinism checksum: " << runner.checksum().hex() << "\n";
 
   std::cout << "\nPaper's claim check: 4 copies/plane, stride 1 keeps the max "
                "within 5 hops (even intra-plane alone: 22/(2*4) -> <=3).\n";

@@ -291,8 +291,6 @@ int main(int argc, char** argv) {
                "the live list), while jump and jump-ec move only the failed "
                "satellites' share -- an order of magnitude less -- and jump-ec "
                "pays (k+m)/k storage instead of 4 full copies.\n";
-  std::cout << "determinism checksum: " << runner.checksum().hex()
-            << " (bit-identical across --threads)\n";
   runner.record("bytes_moved_ratio", ratio);
   runner.record("availability_baseline", baseline.availability);
   runner.record("availability_jump", jump.availability);

@@ -21,16 +21,15 @@ int main(int argc, char** argv) {
   runner.banner();
 
   // Countries shard across the pool; the campaign merges records back in
-  // dataset order, so the analysis input -- and the checksum below -- are
-  // bit-identical for any --threads value.
+  // dataset order, so the analysis input -- and the determinism checksum --
+  // are bit-identical for any --threads value.
   auto records = runner.world().aim().run(runner.pool());
   for (const auto& r : records) {
     runner.checksum().add(r.idle_rtt.value());
     runner.checksum().add(r.loaded_rtt.value());
   }
   std::cout << "campaign threads: " << runner.pool().thread_count() << ", records: "
-            << records.size() << ", determinism checksum: " << runner.checksum().hex()
-            << "\n";
+            << records.size() << "\n";
   const measurement::AimAnalysis analysis(std::move(records));
 
   struct Delta {

@@ -6,14 +6,17 @@
 
 #include "bench_util.hpp"
 #include "data/datasets.hpp"
+#include "des/stats.hpp"
 #include "measurement/analysis.hpp"
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
 namespace {
 
+/// Feeds each printed number to `checksum` in print order.
 void print_side(const spacecdn::measurement::AimAnalysis& analysis,
-                spacecdn::measurement::IspType isp, const char* title) {
+                spacecdn::measurement::IspType isp, const char* title,
+                spacecdn::des::Fnv1aChecksum& checksum) {
   using namespace spacecdn;
   std::cout << "\n--- " << title << " ---\n";
   const auto stats = analysis.site_stats("Maputo", isp);
@@ -22,6 +25,9 @@ void print_side(const spacecdn::measurement::AimAnalysis& analysis,
   std::size_t shown = 0;
   for (const auto& s : stats) {
     const auto& site = data::cdn_site(s.site);
+    checksum.add(s.median_idle_rtt.value());
+    checksum.add(s.distance.value());
+    checksum.add(static_cast<double>(s.samples));
     table.add_row({s.site, std::string(site.city), std::string(site.country_code),
                    ConsoleTable::format_fixed(s.median_idle_rtt.value(), 1),
                    ConsoleTable::format_fixed(s.distance.value(), 0),
@@ -31,6 +37,8 @@ void print_side(const spacecdn::measurement::AimAnalysis& analysis,
   table.render(std::cout);
   const auto opt = analysis.optimal_site("Maputo", isp);
   if (opt) {
+    checksum.add(opt->median_idle_rtt.value());
+    checksum.add(opt->distance.value());
     std::cout << "optimal: " << opt->site << " at "
               << ConsoleTable::format_fixed(opt->median_idle_rtt.value(), 1) << " ms, "
               << ConsoleTable::format_fixed(opt->distance.value(), 0) << " km\n";
@@ -56,9 +64,11 @@ int main(int argc, char** argv) {
 
   print_side(analysis, measurement::IspType::kStarlink,
              "(a) Starlink ISP (paper: best mapping Frankfurt ~160 ms; African "
-             "sites >250 ms)");
+             "sites >250 ms)",
+             runner.checksum());
   print_side(analysis, measurement::IspType::kTerrestrial,
-             "(b) Terrestrial ISP (paper: Maputo itself ~20 ms; Johannesburg ~70 ms)");
+             "(b) Terrestrial ISP (paper: Maputo itself ~20 ms; Johannesburg ~70 ms)",
+             runner.checksum());
 
   if (const auto opt = analysis.optimal_site("Maputo", measurement::IspType::kStarlink)) {
     runner.record("starlink_optimal_site", opt->site);

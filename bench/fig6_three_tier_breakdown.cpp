@@ -80,8 +80,6 @@ int main(int argc, char** argv) {
                "cold; pull-through admission migrates the regional working "
                "set into orbit, and the overhead-satellite tier takes over at "
                "a tenth of the bent-pipe latency (the red arrow in Figure 6).\n";
-
-  std::cout << "\ndeterminism checksum: " << runner.checksum().hex() << "\n";
   runner.record("tier1_requests", static_cast<double>(counts[0]));
   runner.record("tier2_requests", static_cast<double>(counts[1]));
   runner.record("tier3_requests", static_cast<double>(counts[2]));

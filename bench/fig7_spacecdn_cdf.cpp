@@ -132,9 +132,7 @@ int main(int argc, char** argv) {
   const des::SampleSet terrestrial_cdn =
       analysis.idle_rtts(measurement::IspType::kTerrestrial);
 
-  std::cout << "sweep threads: " << runner.pool().thread_count()
-            << ", determinism checksum: " << runner.checksum().hex()
-            << " (identical for any --threads)\n\n";
+  std::cout << "sweep threads: " << runner.pool().thread_count() << "\n\n";
 
   std::vector<std::string> names{"1st/Sat", "1 ISL", "3 ISLs", "5 ISLs", "10 ISLs",
                                  "Starlink", "Terrestrial"};

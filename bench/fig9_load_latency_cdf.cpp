@@ -69,9 +69,7 @@ int main(int argc, char** argv) {
     for (const double v : report.latency_ms.raw()) runner.checksum().add(v);
   }
 
-  std::cout << "sweep threads: " << runner.pool().thread_count()
-            << ", determinism checksum: " << runner.checksum().hex()
-            << " (identical for any --threads)\n\n";
+  std::cout << "sweep threads: " << runner.pool().thread_count() << "\n\n";
 
   ConsoleTable sweep({"offered rps", "completed", "reject %", "p50 ms", "p95 ms",
                       "p99 ms", "goodput Mbps", "max util"});

@@ -133,9 +133,7 @@ int main(int argc, char** argv) {
             << " rps x " << ConsoleTable::format_fixed(runner.spec().load_horizon_s, 0)
             << " s horizon over " << users.size() << " per-user streams in "
             << ConsoleTable::format_fixed(load_s, 2) << " s\n";
-  std::cout << "run threads: " << runner.pool().thread_count()
-            << ", determinism checksum: " << runner.checksum().hex()
-            << " (identical for any --threads)\n\n";
+  std::cout << "run threads: " << runner.pool().thread_count() << "\n\n";
 
   ConsoleTable summary({"offered", "completed", "reject %", "no coverage", "p50 ms",
                         "p99 ms", "goodput Mbps", "max util"});

@@ -56,6 +56,10 @@ int main(int argc, char** argv) {
   for (const auto& paper : kPaper) {
     const auto row = analysis.country_row(paper.code);
     if (!row) continue;
+    runner.checksum().add(row->terrestrial_distance_km);
+    runner.checksum().add(row->terrestrial_min_rtt_ms);
+    runner.checksum().add(row->starlink_distance_km);
+    runner.checksum().add(row->starlink_min_rtt_ms);
     table.add_row({std::string(data::country(paper.code).name),
                    ConsoleTable::format_fixed(paper.terr_km, 1),
                    ConsoleTable::format_fixed(row->terrestrial_distance_km, 1),
@@ -76,6 +80,8 @@ int main(int argc, char** argv) {
     ++rows;
     if (row->starlink_min_rtt_ms > row->terrestrial_min_rtt_ms) ++starlink_worse;
   }
+  runner.checksum().add(static_cast<double>(starlink_worse));
+  runner.checksum().add(static_cast<double>(rows));
   std::cout << "  - Starlink worse than terrestrial in " << starlink_worse << "/" << rows
             << " countries (paper: all except local-PoP countries stay close)\n";
   const auto mz = analysis.country_row("MZ");

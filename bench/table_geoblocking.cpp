@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
                       "cross-country", "cross-continent"});
   std::size_t shown = 0;
   for (const auto& row : rows) {
+    runner.checksum().add(row.displacement.value());
     table.add_row({std::string(data::country(row.country_code).name), row.pop_key,
                    row.apparent_country_code,
                    ConsoleTable::format_fixed(row.displacement.value(), 0),
@@ -43,6 +44,10 @@ int main(int argc, char** argv) {
   table.render(std::cout);
 
   const auto summary = study.summarize();
+  runner.checksum().add(static_cast<double>(summary.countries));
+  runner.checksum().add(static_cast<double>(summary.with_country_mismatch));
+  runner.checksum().add(static_cast<double>(summary.with_region_mismatch));
+  runner.checksum().add(summary.mean_displacement.value());
   std::cout << "\nacross " << summary.countries << " covered countries:\n";
   std::cout << "  - " << summary.with_country_mismatch
             << " appear under a foreign country's IP space (geo-blocking risk)\n";

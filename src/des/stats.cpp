@@ -151,14 +151,29 @@ void Histogram::render(std::ostream& os, int width) const {
   }
 }
 
+namespace {
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+}  // namespace
+
+void Fnv1aChecksum::add_word(std::uint64_t word) noexcept {
+  for (int shift = 0; shift < 64; shift += 8) {
+    hash_ ^= (word >> shift) & 0xffU;
+    hash_ *= kFnvPrime;
+  }
+}
+
+void Fnv1aChecksum::add_bytes(std::string_view bytes) noexcept {
+  for (const char c : bytes) {
+    hash_ ^= static_cast<unsigned char>(c);
+    hash_ *= kFnvPrime;
+  }
+}
+
 void Fnv1aChecksum::add(double value) noexcept {
   std::uint64_t bits;
   static_assert(sizeof bits == sizeof value);
   std::memcpy(&bits, &value, sizeof bits);
-  for (int shift = 0; shift < 64; shift += 8) {
-    hash_ ^= (bits >> shift) & 0xffU;
-    hash_ *= 0x100000001b3ULL;
-  }
+  add_word(bits);
 }
 
 std::string Fnv1aChecksum::hex() const {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace spacecdn::des {
@@ -119,12 +120,17 @@ class Histogram {
   std::uint64_t total_ = 0;
 };
 
-/// Order-sensitive FNV-1a digest over a double-sample stream.  Sharded
-/// sweeps use it as a determinism witness: serial and parallel runs must
-/// produce the same digest because the merge order, not the execution
-/// order, defines the stream.
+/// Order-sensitive 64-bit FNV-1a digest, the repo's one determinism
+/// witness.  Sharded sweeps feed it their merged samples: serial and
+/// parallel runs must produce the same digest because the merge order, not
+/// the execution order, defines the stream.
 class Fnv1aChecksum {
  public:
+  /// Folds the eight bytes of `word`, least significant first.
+  void add_word(std::uint64_t word) noexcept;
+  /// Folds each byte of `bytes` in order (no length prefix).
+  void add_bytes(std::string_view bytes) noexcept;
+  /// add_word of the IEEE-754 bit pattern of `value`.
   void add(double value) noexcept;
 
   [[nodiscard]] std::uint64_t digest() const noexcept { return hash_; }

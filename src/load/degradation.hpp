@@ -4,9 +4,9 @@
 // without a policy every rejection is simply a lost request.  The policy
 // turns the reject hook into load shedding: a rejecting satellite is marked
 // *hot* for a window, the router's serving filter steers new arrivals to
-// other visible satellites, and (optionally) the rejected request itself is
-// retried once in bent-pipe-only mode -- shed to the ground tier, today's
-// CDN path -- through an alternate serving satellite.  Both mechanisms trade
+// other visible satellites, and (under resilient fetch) the rejected request
+// itself is retried once in bent-pipe-only mode -- shed to the ground tier,
+// today's CDN path -- through an alternate serving satellite.  Both mechanisms trade
 // a little latency for availability, which is exactly the graceful-
 // degradation story the chaos scenarios measure.
 #pragma once
@@ -21,11 +21,10 @@ namespace spacecdn::load {
 /// Degradation knobs; disabled by default so existing load runs (and their
 /// checksums) are untouched.
 struct DegradationConfig {
-  /// Master switch: mark hot satellites and install the serving filter.
+  /// Master switch: mark hot satellites, install the serving filter, and
+  /// (under resilient fetch) retry a rejected request once over the ground
+  /// tier via an alternate serving satellite.
   bool enabled = false;
-  /// Retry a rejected request once over the ground tier via an alternate
-  /// serving satellite.
-  bool shed_to_ground = true;
   /// How long one rejection keeps a satellite marked hot.
   Milliseconds hot_window{2'000.0};
 };

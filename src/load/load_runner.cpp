@@ -368,8 +368,7 @@ void LoadRunner::handle_arrival(std::size_t client_index) {
     // Shed to ground: one bent-pipe-only re-fetch.  The rejection above just
     // marked `serving` hot, so the serving filter steers the re-fetch to an
     // alternate satellite whose downlink still has slots.
-    if (degradation_ && degradation_->config().shed_to_ground &&
-        config_.resilient_fetch) {
+    if (degradation_ && config_.resilient_fetch) {
       router_.set_ground_only(true);
       const auto shed = router_.fetch_resilient(city_location_[client_index], country,
                                                 item, rng, arrival);
@@ -408,14 +407,14 @@ void LoadRunner::dispatch_transfer(std::size_t client_index,
   const Milliseconds isl_wait = charge_isl_path(fetch.isl_path, volume);
 
   // The downlink is the final (and usually bottleneck) hop of every tier.
-  auto to_downlink = [this, client_index, tier, first_byte, isl_wait, arrival, serving,
-                      volume, flow](Milliseconds upstream_wait) {
+  auto to_downlink = [this, tier, first_byte, isl_wait, arrival, serving, volume,
+                      flow](Milliseconds upstream_wait) {
     downlink_queue(serving).submit(
         volume, flow,
-        [this, client_index, tier, first_byte, isl_wait, arrival, serving, volume,
+        [this, tier, first_byte, isl_wait, arrival, serving, volume,
          upstream_wait](Milliseconds wait) {
-          finish_transfer(client_index, tier, first_byte, isl_wait, arrival, serving,
-                          volume, upstream_wait + wait);
+          finish_transfer(tier, first_byte, isl_wait, arrival, serving, volume,
+                          upstream_wait + wait);
         });
   };
 
@@ -475,11 +474,10 @@ LinkQueue& LoadRunner::gateway_queue(std::size_t gateway) {
   return *slot;
 }
 
-void LoadRunner::finish_transfer(std::size_t client_index, space::FetchTier tier,
-                                 Milliseconds first_byte, Milliseconds isl_wait,
-                                 Milliseconds arrival, std::uint32_t serving,
-                                 Megabytes volume, Milliseconds queue_wait) {
-  (void)client_index;
+void LoadRunner::finish_transfer(space::FetchTier tier, Milliseconds first_byte,
+                                 Milliseconds isl_wait, Milliseconds arrival,
+                                 std::uint32_t serving, Megabytes volume,
+                                 Milliseconds queue_wait) {
   admission_.release(serving);
   if (inflight_ > 0) --inflight_;
   ++report_.completed;
@@ -572,7 +570,6 @@ LoadConfig load_config_from_spec(const sim::ScenarioSpec& spec) {
   config.resilience.breaker.open_cooldown =
       Milliseconds::from_seconds(spec.breaker_cooldown_s);
   config.degradation.enabled = spec.shed_to_ground;
-  config.degradation.shed_to_ground = spec.shed_to_ground;
 
   // Chaos surge: the in-region population hammers the network exactly while
   // the fault domain is down.  A solar storm is global, not regional -- no

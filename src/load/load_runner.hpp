@@ -227,9 +227,9 @@ class LoadRunner {
                                              Megabytes volume);
   [[nodiscard]] LinkQueue& downlink_queue(std::uint32_t satellite);
   [[nodiscard]] LinkQueue& gateway_queue(std::size_t gateway);
-  void finish_transfer(std::size_t client_index, space::FetchTier tier,
-                       Milliseconds first_byte, Milliseconds extra_wait,
-                       Milliseconds arrival, std::uint32_t serving, Megabytes volume,
+  void finish_transfer(space::FetchTier tier, Milliseconds first_byte,
+                       Milliseconds extra_wait, Milliseconds arrival,
+                       std::uint32_t serving, Megabytes volume,
                        Milliseconds queue_wait);
   /// Rolling-window deadline-miss bookkeeping; a spike trips the flight
   /// recorder once per window.

@@ -3,6 +3,7 @@
 #include <string_view>
 
 #include "data/datasets.hpp"
+#include "des/stats.hpp"
 #include "geo/distance.hpp"
 
 namespace spacecdn::measurement {
@@ -16,12 +17,9 @@ namespace {
 // Stable per-country RNG stream id: FNV-1a of the ISO code, so the stream a
 // country draws from does not depend on its position in the dataset.
 std::uint64_t country_stream(std::string_view code) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : code) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  des::Fnv1aChecksum hash;
+  hash.add_bytes(code);
+  return hash.digest();
 }
 
 }  // namespace

@@ -112,32 +112,6 @@ std::string LabelSet::prometheus() const {
   return out;
 }
 
-// ---------------------------------------------------------- ShardedCounter
-
-ShardedCounter::ShardedCounter(std::size_t shards) : slots_(std::max<std::size_t>(shards, 1)) {}
-
-void ShardedCounter::add(std::size_t shard, std::uint64_t n) noexcept {
-  slots_[shard % slots_.size()].value += n;
-}
-
-std::uint64_t ShardedCounter::total() const noexcept {
-  std::uint64_t sum = 0;
-  for (const Slot& slot : slots_) sum += slot.value;
-  return sum;
-}
-
-std::uint64_t ShardedCounter::shard_value(std::size_t shard) const {
-  SPACECDN_EXPECT(shard < slots_.size(), "shard index out of range");
-  return slots_[shard].value;
-}
-
-void ShardedCounter::merge(const ShardedCounter& other) {
-  if (other.slots_.size() > slots_.size()) slots_.resize(other.slots_.size());
-  for (std::size_t i = 0; i < other.slots_.size(); ++i) {
-    slots_[i].value += other.slots_[i].value;
-  }
-}
-
 // --------------------------------------------------------- HistogramMetric
 
 HistogramMetric::HistogramMetric(double lo, double hi, std::size_t bins)
@@ -174,13 +148,6 @@ HistogramMetric& MetricsRegistry::histogram(const std::string& name,
                  .first;
   }
   return stream->second;
-}
-
-ShardedCounter& MetricsRegistry::sharded_counter(const std::string& name,
-                                                 std::size_t shards) {
-  const auto it = sharded_.find(name);
-  if (it != sharded_.end()) return it->second;
-  return sharded_.emplace(name, ShardedCounter(shards)).first->second;
 }
 
 std::uint64_t MetricsRegistry::counter_value(const std::string& name,
@@ -224,9 +191,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
       }
     }
   }
-  for (const auto& [name, sc] : other.sharded_) {
-    sharded_counter(name, sc.shards()).merge(sc);
-  }
   for (const auto& [name, text] : other.help_) {
     help_.emplace(name, text);  // first registration wins
   }
@@ -250,11 +214,6 @@ void MetricsRegistry::export_prometheus(std::ostream& os) const {
     for (const auto& [labels, c] : family) {
       os << name << labels.prometheus() << " " << c.value() << "\n";
     }
-  }
-  for (const auto& [name, sc] : sharded_) {
-    write_help(name, nullptr);
-    os << "# TYPE " << name << " counter\n";
-    os << name << " " << sc.total() << "\n";
   }
   for (const auto& [name, family] : gauges_) {
     write_help(name, nullptr);
@@ -298,12 +257,6 @@ void MetricsRegistry::export_json(std::ostream& os) const {
          << labels_json(labels) << ",\"value\":" << c.value() << "}";
     }
   }
-  for (const auto& [name, sc] : sharded_) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << escape_json(name) << "\",\"labels\":{},\"value\":"
-       << sc.total() << ",\"shards\":" << sc.shards() << "}";
-  }
   os << "],\"gauges\":[";
   first = true;
   for (const auto& [name, family] : gauges_) {
@@ -343,13 +296,12 @@ void MetricsRegistry::clear() {
   gauges_.clear();
   histograms_.clear();
   histogram_options_.clear();
-  sharded_.clear();
   help_.clear();
   epoch_ = next_epoch();
 }
 
 std::size_t MetricsRegistry::family_count() const noexcept {
-  return counters_.size() + gauges_.size() + histograms_.size() + sharded_.size();
+  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 }  // namespace spacecdn::obs

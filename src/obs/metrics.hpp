@@ -71,31 +71,6 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Mergeable sharded counter: per-shard slots padded to a cache line so
-/// future parallel workers can bump disjoint shards without false sharing,
-/// then merge() partial registries into a master.  Single-threaded code can
-/// treat it as a plain counter via add(shard = anything).
-class ShardedCounter {
- public:
-  static constexpr std::size_t kDefaultShards = 16;
-
-  explicit ShardedCounter(std::size_t shards = kDefaultShards);
-
-  void add(std::size_t shard, std::uint64_t n = 1) noexcept;
-  [[nodiscard]] std::uint64_t total() const noexcept;
-  [[nodiscard]] std::size_t shards() const noexcept { return slots_.size(); }
-  [[nodiscard]] std::uint64_t shard_value(std::size_t shard) const;
-
-  /// Slot-wise accumulation; grows to the larger shard count.
-  void merge(const ShardedCounter& other);
-
- private:
-  struct alignas(64) Slot {
-    std::uint64_t value = 0;
-  };
-  std::vector<Slot> slots_;
-};
-
 /// Distribution metric: Welford moments plus fixed bins for bucketed export.
 class HistogramMetric {
  public:
@@ -124,8 +99,8 @@ struct HistogramOptions {
 };
 
 /// Named metric store.  Lookup lazily creates; names follow the Prometheus
-/// convention (`spacecdn_fetch_total`).  Not thread-safe by design -- the
-/// sharded counter plus merge() is the intended path to parallel use.
+/// convention (`spacecdn_fetch_total`).  Not thread-safe by design --
+/// per-worker registries plus merge() is the intended path to parallel use.
 class MetricsRegistry {
  public:
   [[nodiscard]] Counter& counter(const std::string& name, const LabelSet& labels = {});
@@ -134,8 +109,6 @@ class MetricsRegistry {
   [[nodiscard]] HistogramMetric& histogram(const std::string& name,
                                            const LabelSet& labels = {},
                                            const HistogramOptions& options = {});
-  [[nodiscard]] ShardedCounter& sharded_counter(
-      const std::string& name, std::size_t shards = ShardedCounter::kDefaultShards);
 
   /// Value of an existing counter stream, or 0 when absent (test helper).
   [[nodiscard]] std::uint64_t counter_value(const std::string& name,
@@ -148,8 +121,8 @@ class MetricsRegistry {
   [[nodiscard]] const std::string& help(const std::string& name) const;
 
   /// Folds every stream of `other` into this registry (counters add, gauges
-  /// take `other`'s value, histograms are re-observed bucket-wise, sharded
-  /// counters merge slot-wise).  The merge path for future parallel runs.
+  /// take `other`'s value, histograms are re-observed bucket-wise).  The
+  /// merge path for future parallel runs.
   void merge(const MetricsRegistry& other);
 
   /// Prometheus text exposition format (sorted by name, then labels).
@@ -177,7 +150,6 @@ class MetricsRegistry {
   std::map<std::string, Family<Gauge>> gauges_;
   std::map<std::string, Family<HistogramMetric>> histograms_;
   std::map<std::string, HistogramOptions> histogram_options_;
-  std::map<std::string, ShardedCounter> sharded_;
   std::map<std::string, std::string> help_;
 };
 

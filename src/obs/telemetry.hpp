@@ -30,7 +30,7 @@ struct TelemetrySinks {
 namespace detail {
 /// Single mutable global; no locking -- the simulator is single-threaded and
 /// parallel workers are expected to install thread-local registries and
-/// merge (MetricsRegistry::merge / ShardedCounter).
+/// merge them with MetricsRegistry::merge.
 inline TelemetrySinks g_sinks{};
 }  // namespace detail
 

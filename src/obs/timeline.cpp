@@ -2,34 +2,18 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <numeric>
 #include <ostream>
+
+#include "des/stats.hpp"
 
 namespace spacecdn::obs {
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fold_bytes(std::uint64_t hash, const void* data,
-                         std::size_t size) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-std::uint64_t fold_double(std::uint64_t hash, double value) noexcept {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return fnv1a_fold(hash, bits);
-}
-
-std::uint64_t fold_string(std::uint64_t hash, const std::string& s) noexcept {
-  hash = fnv1a_fold(hash, s.size());
-  return fold_bytes(hash, s.data(), s.size());
+/// Length-prefixed, so ("ab", "c") and ("a", "bc") digest differently.
+void add_string(des::Fnv1aChecksum& sum, const std::string& s) noexcept {
+  sum.add_word(s.size());
+  sum.add_bytes(s);
 }
 
 void write_escaped(std::ostream& os, std::string_view text) {
@@ -46,15 +30,6 @@ void write_escaped(std::ostream& os, std::string_view text) {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a_fold(std::uint64_t hash, std::uint64_t value) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= value & 0xffU;
-    hash *= kFnvPrime;
-    value >>= 8U;
-  }
-  return hash;
-}
 
 void IncidentTimeline::record(Milliseconds at, std::string kind,
                               std::string subject, std::string detail,
@@ -116,16 +91,16 @@ void IncidentTimeline::write_jsonl(std::ostream& os,
 }
 
 std::uint64_t IncidentTimeline::checksum() const {
-  std::uint64_t hash = kFnv1aBasis;
+  des::Fnv1aChecksum sum;
   for (const std::size_t index : export_order()) {
     const TimelineEvent& event = events_[index];
-    hash = fold_double(hash, event.at.value());
-    hash = fold_string(hash, event.kind);
-    hash = fold_string(hash, event.subject);
-    hash = fold_string(hash, event.detail);
-    hash = fold_double(hash, event.value);
+    sum.add(event.at.value());
+    add_string(sum, event.kind);
+    add_string(sum, event.subject);
+    add_string(sum, event.detail);
+    sum.add(event.value);
   }
-  return hash;
+  return sum.digest();
 }
 
 }  // namespace spacecdn::obs

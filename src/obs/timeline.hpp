@@ -26,13 +26,6 @@
 
 namespace spacecdn::obs {
 
-/// Folds one 64-bit word into an FNV-1a hash byte-wise (little-endian).
-/// Used to combine per-run series/timeline checksums in a deterministic
-/// merge order; seed the chain with kFnv1aBasis.
-inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
-[[nodiscard]] std::uint64_t fnv1a_fold(std::uint64_t hash,
-                                       std::uint64_t value) noexcept;
-
 /// One timeline entry.  `kind` is a dotted category string -- the producers
 /// use "fault.fail", "fault.recover", "breaker.open", "breaker.half-open",
 /// "breaker.closed", "degradation.hot-mark", "degradation.shed",

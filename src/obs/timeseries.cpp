@@ -2,20 +2,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <ostream>
 
-#include "obs/timeline.hpp"
+#include "des/stats.hpp"
 #include "util/error.hpp"
 
 namespace spacecdn::obs {
 namespace {
-
-std::uint64_t fold_double(std::uint64_t hash, double value) noexcept {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return fnv1a_fold(hash, bits);
-}
 
 void write_number(std::ostream& os, double value) {
   char buffer[64];
@@ -65,13 +58,13 @@ void TimeSeries::write_jsonl(std::ostream& os, std::string_view run) const {
 }
 
 std::uint64_t TimeSeries::checksum() const {
-  std::uint64_t hash = kFnv1aBasis;
+  des::Fnv1aChecksum sum;
   for (const SeriesWindow& window : windows) {
-    hash = fold_double(hash, window.start.value());
-    hash = fold_double(hash, window.end.value());
-    for (const double value : window.values) hash = fold_double(hash, value);
+    sum.add(window.start.value());
+    sum.add(window.end.value());
+    for (const double value : window.values) sum.add(value);
   }
-  return hash;
+  return sum.digest();
 }
 
 TimeSeriesRecorder::TimeSeriesRecorder(TimeSeriesConfig config)

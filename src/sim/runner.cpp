@@ -152,6 +152,7 @@ int Runner::finish(bool ok) {
   for (const auto& unknown : values_.unused()) {
     std::cerr << "warning: unknown flag --" << unknown << "\n";
   }
+  std::cout << "determinism checksum: " << checksum_.hex() << std::endl;
   if (session_) {
     if (!spec_.metrics_out.empty()) {
       std::ofstream out(spec_.metrics_out);

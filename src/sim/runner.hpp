@@ -19,7 +19,8 @@
 // plus the world keys (--tests-per-city, --constellation, ...), builds the
 // World, owns the thread pool for deterministic sharded parallel_for
 // execution with per-shard RNG streams, carries the FNV-1a determinism
-// checksum, and emits recorded results as JSON at exit.
+// checksum (printed once by finish() as `determinism checksum: 0x...`), and
+// emits recorded results as JSON at exit.
 #pragma once
 
 #include <cstdint>
@@ -97,7 +98,8 @@ class Runner {
   /// installed for this run.
   [[nodiscard]] bool telemetry_active() const noexcept { return session_.has_value(); }
 
-  /// The run's determinism checksum; benches feed every merged sample.
+  /// The run's determinism checksum; benches feed every merged sample (or
+  /// every number they print) in a thread-count-independent order.
   [[nodiscard]] des::Fnv1aChecksum& checksum() noexcept { return checksum_; }
 
   /// CSV destination: the --csv-out file when given, stdout otherwise.
@@ -110,9 +112,10 @@ class Runner {
   /// Prints the standard bench banner (title, paper ref, seed, threads).
   void banner();
 
-  /// Epilogue: warns about unused flags, dumps telemetry sinks, writes the
-  /// JSON results file, and returns the process exit code (0 iff `ok`).
-  /// Idempotent; the destructor calls it with the last `ok` default (true).
+  /// Epilogue: warns about unused flags, prints `determinism checksum:
+  /// 0x...` on stdout, dumps telemetry sinks, writes the JSON results file,
+  /// and returns the process exit code (0 iff `ok`).  Idempotent (the line
+  /// is printed once); the destructor calls it with `ok` = true.
   int finish(bool ok = true);
 
  private:

@@ -9,6 +9,10 @@ namespace spacecdn::space {
 
 namespace {
 
+/// Jump re-probe budget before the deterministic linear fallback kicks in
+/// (only reachable when diversity constraints leave very few candidates).
+constexpr std::uint32_t kMaxProbeAttempts = 64;
+
 /// Cheap deterministic mixer (murmur finalizer) so object keys decorrelate
 /// from dense catalog ids.
 std::uint64_t mix(std::uint64_t x) {
@@ -122,7 +126,6 @@ PlacementMap::PlacementMap(const orbit::WalkerConstellation& constellation,
       membership_(constellation.size()) {
   SPACECDN_EXPECT(config.replicas > 0, "need at least one replica");
   SPACECDN_EXPECT(config.ec.data > 0, "erasure profile needs a data fragment");
-  SPACECDN_EXPECT(config.max_probe_attempts > 0, "need at least one probe attempt");
   if (config.policy == PlacementPolicy::kPerPlane) {
     for (const orbit::WalkerDesign& shell : constellation.shells()) {
       SPACECDN_EXPECT(config.replicas <= shell.sats_per_plane,
@@ -236,7 +239,7 @@ void PlacementMap::pick_jump(cdn::ContentId id, std::uint32_t r,
   // attempt), never on the live count.  A membership flip therefore only
   // re-routes slots whose probe sequence would have accepted the flipped
   // satellite -- O(placements/N) of all slots.
-  for (std::uint32_t attempt = 0; attempt < config_.max_probe_attempts; ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < kMaxProbeAttempts; ++attempt) {
     const std::uint32_t cand = jump_consistent_hash(probe_key(id, r, attempt), n);
     if (live[cand] && diversity_ok(cand, chosen)) {
       chosen.push_back(cand);

@@ -137,9 +137,6 @@ struct PlacementMapConfig {
   /// Fragment geometry of the kJumpEc mode (data + parity fragments, one
   /// satellite each).
   ErasureProfile ec = {};
-  /// Jump re-probe budget before the deterministic linear fallback kicks in
-  /// (only reachable when diversity constraints leave very few candidates).
-  std::uint32_t max_probe_attempts = 64;
 };
 
 /// Deterministic object -> satellite placement over a versioned membership.

@@ -550,7 +550,7 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
     }
     waited += budget;
     if (attempt + 1 < rc.max_attempts) {
-      double backoff = rc.backoff_base.value() * std::pow(rc.backoff_multiplier, attempt);
+      double backoff = rc.backoff_base.value() * std::pow(2.0, attempt);
       if (rc.backoff_jitter > 0.0) {
         backoff *= 1.0 + rc.backoff_jitter * rng.uniform(-1.0, 1.0);
       }

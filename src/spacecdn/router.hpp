@@ -84,9 +84,8 @@ struct ResilienceConfig {
   std::uint32_t max_attempts = 4;
   /// A response slower than this counts as a timeout and is retried.
   Milliseconds attempt_timeout{1500.0};
-  /// Backoff before retry k (0-based) is base * multiplier^k.
+  /// Backoff before retry k (0-based) is base * 2^k.
   Milliseconds backoff_base{50.0};
-  double backoff_multiplier = 2.0;
   /// Probability that an attempt is lost in flight even when a path exists
   /// (handover stalls, transient link flaps below the fault model's
   /// granularity).  0 disables.

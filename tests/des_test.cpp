@@ -5,11 +5,13 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <random>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "des/random.hpp"
@@ -635,6 +637,37 @@ TEST(Histogram, BinsAndClamping) {
   EXPECT_DOUBLE_EQ(h.bin_lower(1), 2.0);
   EXPECT_DOUBLE_EQ(h.bin_upper(1), 4.0);
   EXPECT_THROW((void)h.count(5), ConfigError);
+}
+
+// The published FNV-1a 64-bit test vectors (offset basis, "a", "foobar").
+TEST(Fnv1aChecksum, KnownAnswersThroughAddBytes) {
+  const auto digest_of = [](std::string_view text) {
+    Fnv1aChecksum sum;
+    sum.add_bytes(text);
+    return sum.digest();
+  };
+  EXPECT_EQ(digest_of(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(digest_of("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(digest_of("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(Fnv1aChecksum{}.hex(), "0xcbf29ce484222325");
+}
+
+TEST(Fnv1aChecksum, AddDoubleIsAddWordOfItsBits) {
+  Fnv1aChecksum by_double;
+  Fnv1aChecksum by_word;
+  for (const double value : {0.0, -0.0, 1.5, -273.15, 1e-300, 6.02214076e23}) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    by_double.add(value);
+    by_word.add_word(bits);
+    EXPECT_EQ(by_double.digest(), by_word.digest()) << value;
+  }
+  // A word folds low byte first: add_word(0x61) is "a" then seven NULs.
+  Fnv1aChecksum word;
+  word.add_word(0x61);
+  Fnv1aChecksum bytes;
+  bytes.add_bytes(std::string_view("a\0\0\0\0\0\0\0", 8));
+  EXPECT_EQ(word.digest(), bytes.digest());
 }
 
 }  // namespace

@@ -324,7 +324,6 @@ TEST(ResilientFetch, ExhaustsBoundedRetriesUnderTotalLoss) {
   config.resilience.max_attempts = 3;
   config.resilience.attempt_timeout = Milliseconds{100.0};
   config.resilience.backoff_base = Milliseconds{10.0};
-  config.resilience.backoff_multiplier = 2.0;
   config.resilience.transient_loss = 1.0;  // every attempt is lost in flight
   space::SpaceCdnRouter router(network, fleet, ground, config);
 
@@ -352,7 +351,6 @@ TEST(ResilientFetch, DeadlineBudgetCapsTotalLatency) {
   config.resilience.max_attempts = 10;
   config.resilience.attempt_timeout = Milliseconds{100.0};
   config.resilience.backoff_base = Milliseconds{10.0};
-  config.resilience.backoff_multiplier = 2.0;
   config.resilience.transient_loss = 1.0;  // nothing ever lands
   config.resilience.deadline = Milliseconds{250.0};
   space::SpaceCdnRouter router(network, fleet, ground, config);

@@ -387,7 +387,6 @@ TEST(LoadConfig, FromSpecMapsResilienceAndChaosKeys) {
   EXPECT_EQ(config.resilience.breaker.failure_threshold, 7u);
   EXPECT_DOUBLE_EQ(config.resilience.breaker.open_cooldown.seconds(), 2.0);
   EXPECT_TRUE(config.degradation.enabled);
-  EXPECT_TRUE(config.degradation.shed_to_ground);
   // The chaos surge window rides along for region-scoped chaos modes.
   EXPECT_TRUE(config.traffic.surge.enabled());
   EXPECT_DOUBLE_EQ(config.traffic.surge.multiplier, 3.0);
@@ -615,7 +614,6 @@ TEST(LoadRunner, SeriesAndTimelineAreDeterministic) {
   config.traffic.requests_per_second *= 16.0;
   config.capacity.max_transfers_per_satellite = 4;
   config.degradation.enabled = true;
-  config.degradation.shed_to_ground = true;
 
   using faults::Component;
   using faults::Transition;

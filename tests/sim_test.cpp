@@ -523,6 +523,46 @@ TEST(RunnerParityTest, Fig7AndFig2ChecksumsMatchDirectPathAtOneAndFourThreads) {
   EXPECT_EQ(sharded.fig2, fig2_direct);
 }
 
+std::size_t count_occurrences(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(RunnerTest, PrintsDeterminismChecksumExactlyOnce) {
+  const std::array<const char*, 1> argv{"sim_test"};
+  sim::RunnerOptions options;
+  options.name = "sim_test_print";
+  des::Fnv1aChecksum expected;
+  expected.add(1.5);
+
+  // finish() called explicitly, again, and then by the destructor.
+  testing::internal::CaptureStdout();
+  {
+    sim::Runner runner(static_cast<int>(argv.size()), argv.data(), options);
+    runner.checksum().add(1.5);
+    EXPECT_EQ(runner.finish(), 0);
+    EXPECT_EQ(runner.finish(false), 0);  // idempotent: the first result stands
+  }
+  const std::string explicit_finish = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(count_occurrences(explicit_finish, "determinism checksum:"), 1u);
+  EXPECT_NE(explicit_finish.find("determinism checksum: " + expected.hex() + "\n"),
+            std::string::npos);
+
+  // Only the destructor finishes the run.
+  testing::internal::CaptureStdout();
+  {
+    sim::Runner runner(static_cast<int>(argv.size()), argv.data(), options);
+    runner.checksum().add(1.5);
+  }
+  const std::string destructor_only = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(count_occurrences(destructor_only, "determinism checksum:"), 1u);
+  EXPECT_NE(destructor_only.find(expected.hex()), std::string::npos);
+}
+
 TEST(RunnerParityTest, ChurnSchedulesMatchDirectPathAtFourThreads) {
   // Pre-refactor path: hand-built churn config, literal seed, serial sweep.
   faults::ChurnConfig direct;

@@ -1,11 +1,17 @@
 #!/usr/bin/env bash
-# Serial-vs-parallel determinism gate shared by every CI bench check.
+# Serial-vs-parallel determinism gate: CI runs every sim::Runner bench through
+# it, one row of the determinism table in .github/workflows/ci.yml per run.
 #
 # Runs `build/bench/<bench> <args...>` twice -- once with --threads=1 and
 # once with --threads=$PARALLEL_THREADS -- and fails unless the full ordered
 # set of printed `checksum: 0x...` lines is non-empty and bit-identical
-# between the two runs.  Matching on the bare suffix means prefixed lines
-# ("determinism checksum:", "timeline checksum:") are all gated at once.
+# between the two runs.  sim::Runner::finish prints the run's FNV-1a
+# `determinism checksum: 0x...` line; matching on the bare suffix also gates
+# a bench's own extra lines ("timeline checksum:", "series checksum:").
+#
+# The serial run fails when its determinism checksum is the empty-stream
+# value (the FNV-1a offset basis, 0xcbf29ce484222325): a bench that feeds
+# its checksum nothing has nothing to gate.
 #
 # Any argument containing the literal `{T}` is substituted per run with
 # `serial` / `parallel`; after both runs each such file pair is byte-compared
@@ -55,6 +61,10 @@ echo "serial:   ${serial:-<none>}"
 echo "parallel: ${parallel:-<none>}"
 if [ -z "$serial" ]; then
   echo "::error::$label printed no 'checksum: 0x...' line -- nothing to gate"
+  exit 1
+fi
+if grep -q 'determinism checksum: 0xcbf29ce484222325' "$artifacts/${label}_serial.txt"; then
+  echo "::error::$label printed the empty-stream checksum -- the bench feeds it nothing"
   exit 1
 fi
 if [ "$serial" != "$parallel" ]; then
