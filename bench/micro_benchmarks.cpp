@@ -217,12 +217,12 @@ void BM_SsspUncached(benchmark::State& state) {
 BENCHMARK(BM_SsspUncached);
 
 void BM_LatenciesFromCached(benchmark::State& state) {
-  // Same rotation as BM_SsspUncached, but through the routing cache: after
+  // Same rotation as BM_SsspUncached, but through the routing table: after
   // one warm-up lap every call is a shared-lock hit plus a vector copy.
   const auto& isl = shell1().isl();
   std::uint32_t src = 0;
   // The stride-97 rotation visits every source (gcd(97, 1584) == 1), so warm
-  // the whole constellation once; the cache holds snapshot.size() sources.
+  // the whole constellation once; the table has one slot per satellite.
   static const bool warmed = [&isl] {
     for (std::uint32_t s = 0; s < 1584; ++s) (void)isl.latencies_from(s);
     return true;
@@ -237,7 +237,7 @@ BENCHMARK(BM_LatenciesFromCached);
 
 void BM_PathLatencyCached(benchmark::State& state) {
   // Point queries against a warm tree: the pre-cache code ran a full
-  // shortest_path per call; now it is one cache hit plus an array read.
+  // shortest_path per call; now it is one table hit plus an array read.
   const auto& isl = shell1().isl();
   (void)isl.path_latency(42, 1000);
   std::uint32_t dst = 0;
@@ -261,7 +261,7 @@ void BM_SsspTreeHopReconstruction(benchmark::State& state) {
 BENCHMARK(BM_SsspTreeHopReconstruction);
 
 void BM_SsspTreeNearQuery(benchmark::State& state) {
-  // A routing-cache miss answered a few hops out: seed a fresh tree, then
+  // A routing-table miss answered a few hops out: seed a fresh tree, then
   // path_to a 3-hop neighbour.  The tree settles only that far, not the
   // whole constellation.
   const auto& isl = shell1().isl();

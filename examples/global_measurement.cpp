@@ -2,8 +2,11 @@
 // every Starlink-covered country and export the per-country aggregation as
 // CSV -- the workflow behind the paper's Figure 2 and Table 1.
 //
-//   $ ./examples/global_measurement > aim_summary.csv
-//   $ ./examples/global_measurement --tests-per-city=50 --seed=7 > aim_summary.csv
+//   $ ./examples/global_measurement --csv-out=aim_summary.csv
+//   $ ./examples/global_measurement --tests-per-city=50 --seed=7 --csv-out=aim_summary.csv
+//
+// Without --csv-out the CSV goes to stdout, followed by the run's
+// `determinism checksum:` line.
 #include <iostream>
 
 #include "data/datasets.hpp"
@@ -18,13 +21,13 @@ int main(int argc, char** argv) {
   options.name = "global_measurement";
   options.default_seed = 20240318;
   options.defaults.tests_per_city = 25;
-  // No banner: stdout is the CSV (redirect it, or pass --csv-out=FILE).
+  // No banner: without --csv-out, stdout is the CSV.
   sim::Runner runner(argc, argv, options);
   measurement::AimCampaign& campaign = runner.world().aim();
 
   std::cerr << "running speed tests from "
             << data::starlink_countries().size() << " countries...\n";
-  const measurement::AimAnalysis analysis(campaign.run());
+  const measurement::AimAnalysis analysis(campaign.run(runner.pool()));
   std::cerr << "collected " << analysis.records().size() << " records\n";
 
   CsvWriter csv(runner.csv(),
@@ -34,13 +37,18 @@ int main(int argc, char** argv) {
     const auto row = analysis.country_row(code);
     if (!row) continue;
     const auto& info = data::country(code);
+    const double delta_ms = row->starlink_min_rtt_ms - row->terrestrial_min_rtt_ms;
     csv.row({std::string(info.name), std::string(data::to_string(info.region)),
              CsvWriter::format_number(row->terrestrial_distance_km),
              CsvWriter::format_number(row->terrestrial_min_rtt_ms),
              CsvWriter::format_number(row->starlink_distance_km),
              CsvWriter::format_number(row->starlink_min_rtt_ms),
-             CsvWriter::format_number(row->starlink_min_rtt_ms -
-                                      row->terrestrial_min_rtt_ms)});
+             CsvWriter::format_number(delta_ms)});
+    runner.checksum().add_bytes(info.name);
+    for (const double v : {row->terrestrial_distance_km, row->terrestrial_min_rtt_ms,
+                           row->starlink_distance_km, row->starlink_min_rtt_ms, delta_ms}) {
+      runner.checksum().add(v);
+    }
   }
   std::cerr << "wrote " << csv.rows_written() << " country rows\n";
   return runner.finish();

@@ -8,6 +8,7 @@
 
 #include "cdn/content.hpp"
 #include "data/datasets.hpp"
+#include "des/stats.hpp"
 #include "measurement/traceroute.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -19,7 +20,8 @@
 
 namespace {
 
-void print(const char* title, const spacecdn::measurement::Traceroute& trace) {
+void print(const char* title, const spacecdn::measurement::Traceroute& trace,
+           spacecdn::des::Fnv1aChecksum& checksum) {
   using namespace spacecdn;
   std::cout << "\n" << title << "\n";
   ConsoleTable table({"ttl", "kind", "router", "rtt (ms)"});
@@ -28,6 +30,12 @@ void print(const char* title, const spacecdn::measurement::Traceroute& trace) {
                    std::string(measurement::to_string(hop.kind)),
                    hop.responds ? hop.label : "* * * (no response)",
                    hop.responds ? ConsoleTable::format_fixed(hop.rtt.value(), 1) : "-"});
+    checksum.add_word(static_cast<std::uint64_t>(hop.ttl));
+    checksum.add_bytes(measurement::to_string(hop.kind));
+    if (hop.responds) {
+      checksum.add_bytes(hop.label);
+      checksum.add(hop.rtt.value());
+    }
   }
   table.render(std::cout);
 }
@@ -36,7 +44,7 @@ void print(const char* title, const spacecdn::measurement::Traceroute& trace) {
 /// instrumented router and render each request's span tree.
 void print_fetch_waterfalls(spacecdn::sim::World& world,
                             const spacecdn::data::CityInfo& client_city,
-                            spacecdn::des::Rng rng) {
+                            spacecdn::des::Rng rng, spacecdn::des::Fnv1aChecksum& checksum) {
   using namespace spacecdn;
   const lsn::StarlinkNetwork& network = world.network();
   space::SatelliteFleet fleet =
@@ -73,9 +81,16 @@ void print_fetch_waterfalls(spacecdn::sim::World& world,
   for (const auto& item : {tier1, tier2, tier3}) {
     const auto result = router.fetch(client, country, item, rng, Milliseconds{0.0});
     std::cout << "\n";
-    obs::render_waterfall(std::cout, telemetry.tracer().last());
+    const obs::Trace& trace = telemetry.tracer().last();
+    obs::render_waterfall(std::cout, trace);
+    for (const obs::TraceSpan& span : trace.spans) {
+      checksum.add_bytes(span.name);
+      checksum.add(span.start.value());
+      checksum.add(span.duration.value());
+    }
     if (result) {
       std::cout << "served by tier: " << space::to_string(result->tier) << "\n";
+      checksum.add_bytes(space::to_string(result->tier));
     }
   }
 }
@@ -103,20 +118,22 @@ int main(int argc, char** argv) {
 
   std::cout << "traceroute from " << client.name << " to " << dest_name << ":\n";
   const auto star = synth.starlink(client, destination, rng);
-  print("=== over Starlink ===", star);
+  print("=== over Starlink ===", star, runner.checksum());
   const std::string inferred = synth.infer_pop(star, client);
   if (!inferred.empty()) {
     const auto& pop = data::pop(inferred);
+    runner.checksum().add_bytes(inferred);
     std::cout << "inferred PoP: " << pop.city << " (" << pop.country_code
               << ") -- the subscriber's public IP geolocates here, not in "
               << data::country(client.country_code).name << "\n";
   }
 
   const auto terr = synth.terrestrial(client, destination, rng);
-  print("=== over a terrestrial ISP ===", terr);
+  print("=== over a terrestrial ISP ===", terr, runner.checksum());
 
   if (waterfall) {
-    print_fetch_waterfalls(runner.world(), client, des::Rng(waterfall_seed));
+    print_fetch_waterfalls(runner.world(), client, des::Rng(waterfall_seed),
+                           runner.checksum());
   }
   return runner.finish();
 }

@@ -34,6 +34,8 @@ int main(int argc, char** argv) {
 
   std::cout << "viewer: " << viewer_city.name << " (" << country.name << "), assigned PoP: "
             << country.assigned_pop << "\n\n";
+  runner.checksum().add_bytes(viewer_city.name);
+  runner.checksum().add_bytes(country.assigned_pop);
 
   // Show the stripe plan: which satellite serves which playback interval.
   const auto plan = planner.plan(viewer, Milliseconds{0.0}, video_length, stripe_length);
@@ -44,6 +46,11 @@ int main(int argc, char** argv) {
          ConsoleTable::format_fixed(stripe.start.value() / 60000.0, 1) + " - " +
              ConsoleTable::format_fixed(stripe.end.value() / 60000.0, 1),
          stripe.satellite ? std::to_string(*stripe.satellite) : "(coverage gap)"});
+    runner.checksum().add_word(stripe.index);
+    runner.checksum().add(stripe.start.value());
+    runner.checksum().add(stripe.end.value());
+    // A coverage gap folds in as a word no satellite id reaches.
+    runner.checksum().add_word(stripe.satellite ? *stripe.satellite : ~std::uint64_t{0});
   }
   schedule.render(std::cout);
 
@@ -62,5 +69,16 @@ int main(int argc, char** argv) {
   std::cout << "bent-pipe playback: startup " << ground.startup_latency
             << ", mean stripe RTT " << ground.mean_stripe_rtt << ", worst "
             << ground.worst_stripe_rtt << " (loaded-link bufferbloat included)\n";
+  for (const Milliseconds v : {striped.startup_latency, striped.mean_stripe_rtt,
+                                striped.worst_stripe_rtt}) {
+    runner.checksum().add(v.value());
+  }
+  runner.checksum().add_word(striped.stripes_from_space);
+  runner.checksum().add_word(striped.stripes_from_ground);
+  runner.checksum().add(striped.prefetch_upload.value());
+  for (const Milliseconds v : {ground.startup_latency, ground.mean_stripe_rtt,
+                                ground.worst_stripe_rtt}) {
+    runner.checksum().add(v.value());
+  }
   return runner.finish();
 }

@@ -43,50 +43,6 @@ GeoPoint to_geodetic_spherical(const Ecef& v) noexcept {
   return GeoPoint{rad_to_deg(lat), rad_to_deg(lon), r - kEarthRadiusKm};
 }
 
-Ecef to_ecef_wgs84(const GeoPoint& p) noexcept {
-  const double a = kWgs84SemiMajorKm;
-  const double f = kWgs84Flattening;
-  const double e2 = f * (2.0 - f);  // first eccentricity squared
-  const double lat = deg_to_rad(p.lat_deg);
-  const double lon = deg_to_rad(p.lon_deg);
-  const double sin_lat = std::sin(lat);
-  // Prime vertical radius of curvature.
-  const double n = a / std::sqrt(1.0 - e2 * sin_lat * sin_lat);
-  const double h = p.alt_km;
-  return Ecef{(n + h) * std::cos(lat) * std::cos(lon),
-              (n + h) * std::cos(lat) * std::sin(lon),
-              (n * (1.0 - e2) + h) * sin_lat};
-}
-
-GeoPoint to_geodetic_wgs84(const Ecef& v) noexcept {
-  const double a = kWgs84SemiMajorKm;
-  const double f = kWgs84Flattening;
-  const double b = a * (1.0 - f);  // semi-minor axis
-  const double e2 = f * (2.0 - f);
-  const double ep2 = e2 / (1.0 - e2);  // second eccentricity squared
-
-  const double p = std::sqrt(v.x * v.x + v.y * v.y);
-  const double lon = std::atan2(v.y, v.x);
-
-  if (p < 1e-9) {
-    // Pole: latitude is +-90, height along the z axis.
-    const double lat = v.z >= 0 ? 90.0 : -90.0;
-    return GeoPoint{lat, 0.0, std::fabs(v.z) - b};
-  }
-
-  // Bowring's closed-form first guess, then one Newton-ish refinement; this
-  // is accurate to < 1e-9 rad for |alt| < 10,000 km.
-  const double theta = std::atan2(v.z * a, p * b);
-  const double sin_t = std::sin(theta);
-  const double cos_t = std::cos(theta);
-  double lat = std::atan2(v.z + ep2 * b * sin_t * sin_t * sin_t,
-                          p - e2 * a * cos_t * cos_t * cos_t);
-  const double sin_lat = std::sin(lat);
-  const double n = a / std::sqrt(1.0 - e2 * sin_lat * sin_lat);
-  const double alt = p / std::cos(lat) - n;
-  return GeoPoint{rad_to_deg(lat), rad_to_deg(lon), alt};
-}
-
 std::ostream& operator<<(std::ostream& os, const GeoPoint& p) {
   return os << "(" << p.lat_deg << ", " << p.lon_deg << ", " << p.alt_km << " km)";
 }

@@ -1,10 +1,9 @@
 // Geodetic and Cartesian coordinate types with conversions.
 //
-// Two Earth models coexist:
-//  * a spherical model (mean radius) used by the constellation simulator,
-//    where orbits are circles around the Earth's centre; and
-//  * the WGS-84 ellipsoid for precise geodetic <-> ECEF conversions, used
-//    when comparing against real-world site coordinates.
+// The Earth is a sphere of mean radius R = 6371 km (kEarthRadiusKm): orbits
+// are circles around its centre, and sites, gateways and users sit on its
+// surface.  The WGS-84 ellipsoid's radius departs from R by at most ~14 km
+// (at the poles); the model does not use it.
 #pragma once
 
 #include <iosfwd>
@@ -49,13 +48,6 @@ struct Ecef {
 
 /// Spherical-Earth inverse conversion.
 [[nodiscard]] GeoPoint to_geodetic_spherical(const Ecef& v) noexcept;
-
-/// WGS-84 geodetic -> ECEF.
-[[nodiscard]] Ecef to_ecef_wgs84(const GeoPoint& p) noexcept;
-
-/// WGS-84 ECEF -> geodetic using Bowring's method (sub-millimetre for
-/// near-Earth points).
-[[nodiscard]] GeoPoint to_geodetic_wgs84(const Ecef& v) noexcept;
 
 std::ostream& operator<<(std::ostream& os, const GeoPoint& p);
 std::ostream& operator<<(std::ostream& os, const Ecef& v);

@@ -7,11 +7,6 @@ namespace spacecdn::geo {
 /// constellation simulator operates on.
 inline constexpr double kEarthRadiusKm = 6371.0;
 
-/// WGS-84 ellipsoid semi-major axis (km) and flattening, used by the precise
-/// geodetic <-> ECEF conversions.
-inline constexpr double kWgs84SemiMajorKm = 6378.137;
-inline constexpr double kWgs84Flattening = 1.0 / 298.257223563;
-
 /// Earth rotation rate (rad/s), sidereal.
 inline constexpr double kEarthRotationRadPerSec = 7.2921159e-5;
 

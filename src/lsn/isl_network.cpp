@@ -1,5 +1,6 @@
 #include "lsn/isl_network.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "geo/propagation.hpp"
@@ -15,7 +16,7 @@ IslNetwork::IslNetwork(const orbit::WalkerConstellation& constellation,
     : snapshot_(&snapshot),
       config_(config),
       graph_(snapshot.size()),
-      route_cache_(graph_, snapshot.size()),
+      routes_(snapshot.size()),
       failed_(snapshot.size(), false) {
   SPACECDN_PROFILE("IslNetwork::build");
   SPACECDN_EXPECT(constellation.size() == snapshot.size(),
@@ -70,8 +71,7 @@ void IslNetwork::advance(const orbit::EphemerisSnapshot& snapshot) {
 
 void IslNetwork::topology_changed() {
   ++topology_epoch_;
-  route_cache_.invalidate();
-  rings_.clear();
+  std::fill(routes_.begin(), routes_.end(), RouteSlot{});
 }
 
 bool IslNetwork::is_failed(std::uint32_t sat) const {
@@ -123,36 +123,58 @@ Milliseconds IslNetwork::link_latency(std::uint32_t a, std::uint32_t b) const {
 
 Milliseconds IslNetwork::path_latency(std::uint32_t from, std::uint32_t to) const {
   SPACECDN_PROFILE("IslNetwork::path_latency");
-  const auto tree = route_cache_.tree(from);
-  SPACECDN_EXPECT(tree->reachable(to), "ISL fabric must be connected");
-  return tree->distance(to);
+  const auto sssp = tree(from);
+  SPACECDN_EXPECT(sssp->reachable(to), "ISL fabric must be connected");
+  return sssp->distance(to);
 }
 
 std::vector<Milliseconds> IslNetwork::latencies_from(std::uint32_t sat) const {
   SPACECDN_PROFILE("IslNetwork::latencies_from");
-  return route_cache_.tree(sat)->distances();
+  return tree(sat)->distances();
 }
 
 std::shared_ptr<const net::SsspTree> IslNetwork::sssp_from(std::uint32_t sat) const {
   SPACECDN_PROFILE("IslNetwork::sssp_from");
-  return route_cache_.tree(sat);
+  return tree(sat);
+}
+
+std::shared_ptr<const net::SsspTree> IslNetwork::tree(std::uint32_t sat) const {
+  SPACECDN_EXPECT(sat < routes_.size(), "satellite id out of range");
+  {
+    const std::shared_lock lock(routes_mutex_);
+    if (auto hit = routes_[sat].tree) {
+      sssp_hits_.fetch_add(1, std::memory_order_relaxed);
+      return hit;
+    }
+  }
+  // Seed outside the lock; the tree settles lazily as queries reach it.
+  auto seeded = std::make_shared<const net::SsspTree>(graph_, sat);
+  const std::unique_lock lock(routes_mutex_);
+  sssp_misses_.fetch_add(1, std::memory_order_relaxed);
+  auto& slot = routes_[sat].tree;
+  if (slot == nullptr) slot = std::move(seeded);
+  return slot;
 }
 
 std::shared_ptr<const std::vector<net::HopDistance>> IslNetwork::within_hops(
     std::uint32_t sat, std::uint32_t max_hops) const {
   SPACECDN_PROFILE("IslNetwork::within_hops");
-  const std::uint64_t key = (std::uint64_t{sat} << 32) | max_hops;
+  SPACECDN_EXPECT(sat < routes_.size(), "satellite id out of range");
   {
-    const std::shared_lock lock(rings_mutex_);
-    if (const auto it = rings_.find(key); it != rings_.end()) return it->second;
+    const std::shared_lock lock(routes_mutex_);
+    const RouteSlot& slot = routes_[sat];
+    if (slot.ring != nullptr && slot.ring_hops == max_hops) return slot.ring;
   }
-  // BFS outside the lock; concurrent misses on one key compute the same
-  // ring and the first insert wins.
+  // BFS outside the lock.
   auto ring = std::make_shared<const std::vector<net::HopDistance>>(
       net::nodes_within_hops(graph_, sat, max_hops));
-  const std::unique_lock lock(rings_mutex_);
-  if (rings_.size() >= graph_.node_count()) rings_.clear();
-  return rings_.try_emplace(key, std::move(ring)).first->second;
+  const std::unique_lock lock(routes_mutex_);
+  RouteSlot& slot = routes_[sat];
+  if (slot.ring == nullptr || slot.ring_hops != max_hops) {
+    slot.ring = std::move(ring);
+    slot.ring_hops = max_hops;
+  }
+  return slot.ring;
 }
 
 }  // namespace spacecdn::lsn

@@ -7,11 +7,11 @@
 // satellite fetches competitive with terrestrial fiber.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -68,10 +68,9 @@ class IslNetwork {
   void advance(const orbit::EphemerisSnapshot& snapshot);
 
   /// Counter bumped by every topology change (fail, recover, advance),
-  /// starting at 0 for each network.  The SSSP and hop-ring caches are
-  /// invalidated on every bump, and BentPipeRouter keys its memoised legs on
-  /// it (together with the snapshot epoch, which alone drives its gateway
-  /// landing lists).
+  /// starting at 0 for each network.  The routing table is emptied on every
+  /// bump, and BentPipeRouter keys its memoised legs on it (together with
+  /// the snapshot epoch, which alone drives its gateway landing lists).
   [[nodiscard]] std::uint64_t topology_epoch() const noexcept { return topology_epoch_; }
 
   [[nodiscard]] const net::Graph& graph() const noexcept { return graph_; }
@@ -85,8 +84,8 @@ class IslNetwork {
   [[nodiscard]] Milliseconds link_latency(std::uint32_t a, std::uint32_t b) const;
 
   /// Shortest one-way latency between two satellites over ISLs.  Served
-  /// from the epoch-keyed SSSP cache: repeated queries from the same source
-  /// within an epoch cost a hash lookup, not a Dijkstra.
+  /// from the routing table: repeated queries from the same source within
+  /// an epoch cost a table lookup, not a Dijkstra.
   [[nodiscard]] Milliseconds path_latency(std::uint32_t from, std::uint32_t to) const;
 
   /// Shortest latency from one satellite to all others (cached; returns a
@@ -95,17 +94,21 @@ class IslNetwork {
 
   /// The cached SSSP tree rooted at `sat`: one Dijkstra answers distance,
   /// hop-count, and path-reconstruction queries to every other satellite.
+  /// Thread-safe; @throws spacecdn::ConfigError for an out-of-range `sat`.
   [[nodiscard]] std::shared_ptr<const net::SsspTree> sssp_from(std::uint32_t sat) const;
 
-  /// Cache effectiveness counters (hits/misses/evictions/invalidations).
+  /// Routing-table counters: SSSP tree hits and misses, and one
+  /// invalidation per topology change.
   [[nodiscard]] net::RoutingCacheStats routing_cache_stats() const {
-    return route_cache_.stats();
+    return {sssp_hits_.load(std::memory_order_relaxed),
+            sssp_misses_.load(std::memory_order_relaxed), topology_epoch_};
   }
 
   /// Satellites within `max_hops` ISL hops of `sat` (BFS order, includes
-  /// `sat`), exactly net::nodes_within_hops on graph().  Memoised per
-  /// (sat, max_hops) until the next topology change, bounded by the
-  /// satellite count; thread-safe like sssp_from.
+  /// `sat`), exactly net::nodes_within_hops on graph().  Memoised in `sat`'s
+  /// routing-table slot until the next topology change; the slot keeps one
+  /// budget, so asking for another recomputes it.  Thread-safe like
+  /// sssp_from.
   [[nodiscard]] std::shared_ptr<const std::vector<net::HopDistance>> within_hops(
       std::uint32_t sat, std::uint32_t max_hops) const;
 
@@ -114,18 +117,32 @@ class IslNetwork {
   /// pair of currently-healthy partners.
   void rebuild_edges();
 
-  /// Bumps topology_epoch_ and drops every cached route and hop ring.
+  /// Bumps topology_epoch_ and empties the routing table.
   void topology_changed();
+
+  /// sssp_from without its profile section (path_latency and
+  /// latencies_from time themselves).
+  [[nodiscard]] std::shared_ptr<const net::SsspTree> tree(std::uint32_t sat) const;
+
+  /// One satellite's memoised routing state for the current topology.
+  struct RouteSlot {
+    std::shared_ptr<const net::SsspTree> tree;
+    std::shared_ptr<const std::vector<net::HopDistance>> ring;
+    std::uint32_t ring_hops = 0;  // the budget `ring` was computed for
+  };
 
   const orbit::EphemerisSnapshot* snapshot_;
   IslConfig config_;
   net::Graph graph_;
-  net::RoutingCache route_cache_;
-  /// (sat << 32 | max_hops) -> BFS ring of the current topology.
-  mutable std::shared_mutex rings_mutex_;
-  mutable std::unordered_map<std::uint64_t,
-                             std::shared_ptr<const std::vector<net::HopDistance>>>
-      rings_;
+  /// The routing table, indexed by satellite id.  A shared lock serves
+  /// hits and an exclusive one inserts; concurrent misses on one slot
+  /// compute identical answers and the first insert wins.  Readers keep
+  /// what they were handed (shared_ptr) after the table is emptied.
+  mutable std::shared_mutex routes_mutex_;
+  mutable std::vector<RouteSlot> routes_;
+  // Atomics: hits are counted under the shared lock.
+  mutable std::atomic<std::uint64_t> sssp_hits_{0};
+  mutable std::atomic<std::uint64_t> sssp_misses_{0};
   std::vector<bool> failed_;
   std::uint32_t failed_count_ = 0;
   std::uint64_t topology_epoch_ = 0;

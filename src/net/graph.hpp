@@ -120,8 +120,9 @@ class Graph {
   /// last query.  The returned spans stay valid until the next mutation.
   ///
   /// Thread-safe against concurrent csr() calls (double-checked rebuild
-  /// under an internal mutex), matching the RoutingCache discipline: many
-  /// concurrent readers, never a reader concurrent with a mutation.
+  /// under an internal mutex), matching lsn::IslNetwork's routing-table
+  /// discipline: many concurrent readers, never a reader concurrent with a
+  /// mutation.
   [[nodiscard]] CsrView csr() const { return csr_snapshot()->view(); }
 
   /// The current CSR snapshot itself (rebuilt like csr()); it stays valid
@@ -137,10 +138,10 @@ class Graph {
   std::size_t edges_ = 0;
 
   // CSR mirror: a cache of adjacency_, rebuilt lazily.  `mutable` + the
-  // dirty-flag dance lets const query paths (shortest_distances & friends
-  // under RoutingCache's parallel sweeps) share one rebuild without a lock
-  // on every query: the release store of `false` publishes the snapshot,
-  // the acquire load on the fast path synchronises with it.
+  // dirty-flag dance lets const query paths (shortest_distances, SsspTree
+  // seeds from parallel sweeps) share one rebuild without a lock on every
+  // query: the release store of `false` publishes the snapshot, the
+  // acquire load on the fast path synchronises with it.
   mutable std::mutex csr_mutex_;
   mutable std::atomic<bool> csr_dirty_{true};
   mutable std::shared_ptr<const CsrSnapshot> csr_;

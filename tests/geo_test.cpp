@@ -49,32 +49,6 @@ TEST(Coordinates, SphericalNorthPole) {
   EXPECT_NEAR(v.z, kEarthRadiusKm, 1e-9);
 }
 
-TEST(Coordinates, Wgs84EquatorMatchesSemiMajor) {
-  const Ecef v = to_ecef_wgs84({0.0, 0.0, 0.0});
-  EXPECT_NEAR(v.x, kWgs84SemiMajorKm, 1e-9);
-}
-
-TEST(Coordinates, Wgs84PoleMatchesSemiMinor) {
-  const Ecef v = to_ecef_wgs84({90.0, 0.0, 0.0});
-  const double b = kWgs84SemiMajorKm * (1.0 - kWgs84Flattening);
-  EXPECT_NEAR(v.z, b, 1e-9);
-}
-
-TEST(Coordinates, Wgs84RoundTrip) {
-  for (const GeoPoint p : {GeoPoint{52.52, 13.40, 0.03}, GeoPoint{-33.87, 151.21, 0.0},
-                           GeoPoint{35.68, 139.69, 550.0}, GeoPoint{-89.0, 10.0, 2.0}}) {
-    const GeoPoint back = to_geodetic_wgs84(to_ecef_wgs84(p));
-    EXPECT_NEAR(back.lat_deg, p.lat_deg, 1e-6);
-    EXPECT_NEAR(back.lon_deg, p.lon_deg, 1e-6);
-    EXPECT_NEAR(back.alt_km, p.alt_km, 1e-3);
-  }
-}
-
-TEST(Coordinates, Wgs84PoleSingularity) {
-  const GeoPoint pole = to_geodetic_wgs84(Ecef{0.0, 0.0, 6400.0});
-  EXPECT_DOUBLE_EQ(pole.lat_deg, 90.0);
-}
-
 TEST(Coordinates, EuclideanDistance) {
   EXPECT_DOUBLE_EQ(euclidean_distance({0, 0, 0}, {3, 4, 0}).value(), 5.0);
   EXPECT_DOUBLE_EQ(norm({1, 2, 2}).value(), 3.0);

@@ -1,6 +1,6 @@
-// Tests for the epoch-cached routing engine (net::RoutingCache /
-// net::SsspTree), the util::ThreadPool, and the deterministic parallel
-// sweeps built on them.
+// Tests for the routing engine (net::SsspTree and lsn::IslNetwork's
+// per-satellite routing table), the util::ThreadPool, and the
+// deterministic parallel sweeps built on them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -317,76 +317,6 @@ TEST(LazySsspTree, ConcurrentQueriesOnOneFreshTreeMatchEager) {
   }
 }
 
-// --------------------------------------------------------- RoutingCache
-
-TEST(RoutingCache, HitsAfterFirstQueryAndSharesTree) {
-  des::Rng rng(13);
-  const net::Graph g = random_graph(rng, 20, 20);
-  const net::RoutingCache cache(g, 8);
-  const auto first = cache.tree(3);
-  const auto second = cache.tree(3);
-  EXPECT_EQ(first.get(), second.get());  // same memoised tree object
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(cache.cached_sources(), 1u);
-}
-
-TEST(RoutingCache, LruBoundEvictsColdestSource) {
-  des::Rng rng(14);
-  const net::Graph g = random_graph(rng, 20, 20);
-  const net::RoutingCache cache(g, 4);
-  const auto pinned = cache.tree(0);  // reader keeps its tree alive
-  for (net::NodeId src = 1; src < 10; ++src) (void)cache.tree(src);
-  EXPECT_LE(cache.cached_sources(), 4u);
-  EXPECT_GT(cache.stats().evictions, 0u);
-  // The handed-out shared_ptr survives eviction and still answers queries.
-  EXPECT_EQ(pinned->distance(0).value(), 0.0);
-  // Re-querying an evicted source recomputes the identical tree.
-  const auto again = cache.tree(0);
-  for (net::NodeId v = 0; v < 20; ++v) {
-    EXPECT_EQ(again->distance(v).value(), pinned->distance(v).value());
-  }
-}
-
-TEST(RoutingCache, InvalidateBumpsEpochAndDropsEntries) {
-  des::Rng rng(15);
-  const net::Graph g = random_graph(rng, 10, 10);
-  net::RoutingCache cache(g, 8);
-  (void)cache.tree(1);
-  (void)cache.tree(2);
-  EXPECT_EQ(cache.cached_sources(), 2u);
-  const auto epoch_before = cache.epoch();
-  cache.invalidate();
-  EXPECT_EQ(cache.epoch(), epoch_before + 1);
-  EXPECT_EQ(cache.cached_sources(), 0u);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  (void)cache.tree(1);
-  EXPECT_EQ(cache.stats().misses, 3u);  // recomputed after invalidation
-}
-
-TEST(RoutingCache, ConcurrentReadersGetIdenticalDistances) {
-  des::Rng rng(16);
-  const net::Graph g = random_graph(rng, 60, 90);
-  const net::RoutingCache cache(g, 16);  // smaller than the source set: eviction races too
-  std::vector<std::vector<Milliseconds>> expected(60);
-  for (net::NodeId src = 0; src < 60; ++src) {
-    expected[src] = net::shortest_distances(g, src);
-  }
-  ThreadPool pool(4);
-  std::atomic<int> mismatches{0};
-  pool.parallel_for(600, [&](std::size_t i) {
-    const auto src = static_cast<net::NodeId>((i * 7) % 60);
-    const auto tree = cache.tree(src);
-    for (net::NodeId v = 0; v < 60; ++v) {
-      if (tree->distance(v).value() != expected[src][v].value()) {
-        mismatches.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
 // ------------------------------------------- IslNetwork routing engine
 
 TEST(IslRoutingEngine, CachedLatenciesMatchDirectDijkstra) {
@@ -445,6 +375,86 @@ TEST(IslRoutingEngine, AdvanceMatchesFreshlyConstructedNetwork) {
       EXPECT_EQ(a[v].value(), b[v].value());
     }
   }
+}
+
+TEST(IslRoutingEngine, RepeatedQueriesShareOneTreeAndOneRing) {
+  const lsn::IslNetwork isl(shell1().constellation(), shell1().snapshot());
+  const auto first = isl.sssp_from(3);
+  const auto second = isl.sssp_from(3);
+  EXPECT_EQ(first.get(), second.get());  // same memoised tree object
+  const auto stats = isl.routing_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  const auto ring = isl.within_hops(3, 4);
+  EXPECT_EQ(isl.within_hops(3, 4).get(), ring.get());
+  // The slot keeps one budget: another one recomputes the ring, exactly.
+  const auto other = isl.within_hops(3, 2);
+  EXPECT_NE(other.get(), ring.get());
+  EXPECT_EQ(other->size(), net::nodes_within_hops(isl.graph(), 3, 2).size());
+  EXPECT_EQ(isl.within_hops(3, 2).get(), other.get());
+  EXPECT_EQ(isl.routing_cache_stats().misses, 1u);  // rings do not touch the trees
+}
+
+TEST(IslRoutingEngine, TopologyChangesDropTreesAndRings) {
+  lsn::IslNetwork isl(shell1().constellation(), shell1().snapshot());
+  const std::array<std::function<void()>, 3> changes = {
+      [&] { isl.fail(11); }, [&] { isl.recover(11); },
+      [&] { isl.advance(shell1().snapshot()); }};
+  for (std::size_t c = 0; c < changes.size(); ++c) {
+    // Held across the change, so a fresh object cannot reuse the address.
+    const auto tree = isl.sssp_from(10);
+    const auto ring = isl.within_hops(10, 3);
+    const auto before = isl.routing_cache_stats();
+    changes[c]();
+    const auto after = isl.routing_cache_stats();
+    EXPECT_EQ(after.invalidations, before.invalidations + 1) << "change " << c;
+    const auto tree_again = isl.sssp_from(10);
+    EXPECT_NE(tree_again.get(), tree.get()) << "change " << c;
+    EXPECT_EQ(isl.routing_cache_stats().misses, after.misses + 1) << "change " << c;
+    EXPECT_EQ(isl.routing_cache_stats().hits, after.hits) << "change " << c;
+    EXPECT_NE(isl.within_hops(10, 3).get(), ring.get()) << "change " << c;
+  }
+  EXPECT_EQ(isl.routing_cache_stats().invalidations, isl.topology_epoch());
+}
+
+TEST(IslRoutingEngine, ConcurrentReadersMatchDirectSearches) {
+  // A fresh network, so the threads race on empty slots.
+  const lsn::IslNetwork isl(shell1().constellation(), shell1().snapshot());
+  constexpr std::uint32_t kSources = 24;
+  constexpr std::uint32_t kHops = 3;
+  std::vector<std::vector<Milliseconds>> distances(kSources);
+  std::vector<std::vector<net::HopDistance>> rings(kSources);
+  for (std::uint32_t s = 0; s < kSources; ++s) {
+    distances[s] = net::shortest_distances(isl.graph(), s * 61);
+    rings[s] = net::nodes_within_hops(isl.graph(), s * 61, kHops);
+  }
+  ThreadPool pool(4);
+  std::atomic<int> mismatches{0};
+  pool.parallel_for(480, [&](std::size_t i) {
+    const auto s = static_cast<std::uint32_t>((i * 7) % kSources);
+    int bad = 0;
+    if (i % 2 == 0) {
+      const auto tree = isl.sssp_from(s * 61);
+      for (net::NodeId v = 0; v < distances[s].size(); v += 13) {
+        bad += tree->distance(v).value() != distances[s][v].value();
+      }
+    } else {
+      const auto ring = isl.within_hops(s * 61, kHops);
+      bad += ring->size() != rings[s].size();
+      for (std::size_t k = 0; k < std::min(ring->size(), rings[s].size()); ++k) {
+        bad += (*ring)[k].node != rings[s][k].node || (*ring)[k].hops != rings[s][k].hops;
+      }
+    }
+    mismatches.fetch_add(bad, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(IslRoutingEngine, OutOfRangeSatelliteThrows) {
+  const auto& isl = shell1().isl();
+  const auto n = static_cast<std::uint32_t>(isl.graph().node_count());
+  EXPECT_THROW((void)isl.sssp_from(n), ConfigError);
+  EXPECT_THROW((void)isl.within_hops(n, 1), ConfigError);
 }
 
 TEST(IslRoutingEngine, RepeatedQueriesHitTheCache) {

@@ -2,7 +2,8 @@
 # Serial-vs-parallel determinism gate: CI runs every sim::Runner bench through
 # it, one row of the determinism table in .github/workflows/ci.yml per run.
 #
-# Runs `build/bench/<bench> <args...>` twice -- once with --threads=1 and
+# Runs `build/bench/<bench> <args...>` (or `build/examples/<name>` for a
+# <bench> of the form `examples/<name>`) twice -- once with --threads=1 and
 # once with --threads=$PARALLEL_THREADS -- and fails unless the full ordered
 # set of printed `checksum: 0x...` lines is non-empty and bit-identical
 # between the two runs.  sim::Runner::finish prints the run's FNV-1a
@@ -23,7 +24,8 @@
 #
 # Usage: determinism_gate.sh <bench> [args...]
 # Env:   ARTIFACTS         captured-stdout directory (default: artifacts)
-#        LABEL             stem for the captured stdout files (default: bench)
+#        LABEL             stem for the captured stdout files (default: the
+#                          binary's name)
 #        PARALLEL_THREADS  thread count for the parallel run (default: 4)
 #        EXPECT            published checksum (0x...) the serial run must print
 set -euo pipefail
@@ -36,8 +38,12 @@ fi
 bench=$1
 shift
 orig_args=("$@")
+case "$bench" in
+  examples/*) binary="build/$bench" ;;
+  *) binary="build/bench/$bench" ;;
+esac
 artifacts=${ARTIFACTS:-artifacts}
-label=${LABEL:-$bench}
+label=${LABEL:-$(basename "$bench")}
 threads=${PARALLEL_THREADS:-4}
 mkdir -p "$artifacts"
 
@@ -48,7 +54,7 @@ run_one() { # run_one <serial|parallel> <nthreads>
     args+=("${arg//\{T\}/$tag}")
   done
   echo "=== $label --threads=$nthreads"
-  "build/bench/$bench" ${args[@]+"${args[@]}"} "--threads=$nthreads" \
+  "$binary" ${args[@]+"${args[@]}"} "--threads=$nthreads" \
     | tee "$artifacts/${label}_${tag}.txt"
 }
 
